@@ -101,6 +101,8 @@ def _cmd_evolve(args, out) -> int:
     ).parse_args(args)
     if opts.grid < 2:
         raise ConfigValidationError("--grid: need at least 2 samples")
+    if not np.isfinite(opts.t):
+        raise ConfigValidationError(f"--t: expected a finite number, got {opts.t}")
     doc = load_document(opts.config)
     section = doc.section("evolve")
     psi = doc.state(section.get("state"), "evolve.state")

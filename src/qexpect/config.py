@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +96,8 @@ def _complex_matrix(value, where: str) -> np.ndarray:
 def _real(value, where: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigValidationError(f"{where}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Inf, or an int beyond float range
+        raise ConfigValidationError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -285,14 +288,16 @@ def scenario_from_document(doc: ConfigDocument) -> Scenario:
     periods = section.get("periods", 1)
     if not isinstance(periods, int) or isinstance(periods, bool):
         raise ConfigValidationError(f"{where}.periods: expected an integer")
+    impact = _real(section.get("impact", 0.0), f"{where}.impact")
+    initial_price = _real(section.get("initial_price", 100.0), f"{where}.initial_price")
     try:
         return Scenario(
             seed=seed,
             populations=tuple(populations),
             news=NewsSchedule(tuple(events)),
             price_observable=price_obs,
-            impact=_real(section.get("impact", 0.0), f"{where}.impact"),
-            initial_price=_real(section.get("initial_price", 100.0), f"{where}.initial_price"),
+            impact=impact,
+            initial_price=initial_price,
             periods=periods,
         )
     except ValueError as exc:

@@ -189,19 +189,20 @@ def projector_for(obs: Observable, outcome: float) -> Projector:
     return Projector(basis @ basis.conj().T)
 
 
-def evolve(psi: StateVector, hamiltonian: Hamiltonian, t: float) -> StateVector:
-    """Apply ``exp(-i H t)`` to the state.
+def propagator(hamiltonian: Hamiltonian, t: float) -> np.ndarray:
+    """The unitary ``exp(-i H t)``, by spectral decomposition of the Hermitian
+    generator: exact up to roundoff at these dimensions. Negative ``t``
+    evolves backwards."""
+    energies, modes = np.linalg.eigh(hamiltonian.matrix)
+    return (modes * np.exp(-1j * energies * float(t))) @ modes.conj().T
 
-    Computed by spectral decomposition of the Hermitian generator, which is
-    exact up to roundoff at these dimensions; the result is renormalized so
-    its norm is 1 within 1e-10. Negative ``t`` evolves backwards.
-    """
+
+def evolve(psi: StateVector, hamiltonian: Hamiltonian, t: float) -> StateVector:
+    """Apply :func:`propagator` ``exp(-i H t)`` to the state; the result is
+    renormalized so its norm is 1 within 1e-10."""
     if psi.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: state {psi.dim} vs Hamiltonian {hamiltonian.dim}")
-    energies, modes = np.linalg.eigh(hamiltonian.matrix)
-    phases = np.exp(-1j * energies * float(t))
-    amplitudes = modes @ (phases * (modes.conj().T @ psi.amplitudes))
-    return StateVector(amplitudes)
+    return StateVector(propagator(hamiltonian, t) @ psi.amplitudes)
 
 
 def commutator_norm(a: Observable, b: Observable) -> float:

@@ -5,23 +5,23 @@ up/down fractions drive a multiplicative price path.
 Determinism contract: every random draw is a pure function of
 ``(scenario seed, agent index, period)``. Agent ``i``'s stream for period
 ``t`` is the ``i``-th block of a Philox stream keyed by ``(seed, t)``, so
-results are bit-identical regardless of how work is split across threads.
-The ``QEXPECT_THREADS`` environment variable caps worker threads.
+results are bit-identical across runs and do not depend on how agents are
+grouped.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .classical import classical_agent_step
-from .hilbert import Hamiltonian, Observable, StateVector, evolve, inner_product, projector_for
+from .hilbert import Hamiltonian, Observable, StateVector, projector_for, propagator
 from .measurement import (
+    ZERO_BRANCH_TOL,
+    ImpossibleOutcomeError,
     JointTable,
     OutcomeDistribution,
     born_distribution,
@@ -29,7 +29,6 @@ from .measurement import (
 )
 
 _MAX_SEED = 2**64
-_PARALLEL_CUTOFF = 2048  # below this many agents, threading is pure overhead
 
 
 class SimulationHalt(RuntimeError):
@@ -66,8 +65,8 @@ class NewsEvent:
     observable: Observable | None = None
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"news duration must be >= 0, got {self.duration}")
+        if not (self.duration >= 0 and math.isfinite(self.duration)):
+            raise ValueError(f"news duration must be finite and >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,10 @@ class Scenario:
         object.__setattr__(self, "populations", tuple(self.populations))
         if not self.populations:
             raise ValueError("scenario needs at least one population")
-        if self.impact < 0:
-            raise ValueError(f"impact coefficient must be >= 0, got {self.impact}")
-        if not self.initial_price > 0:
-            raise ValueError(f"initial price must be > 0, got {self.initial_price}")
+        if not (self.impact >= 0 and math.isfinite(self.impact)):
+            raise ValueError(f"impact coefficient must be finite and >= 0, got {self.impact}")
+        if not (self.initial_price > 0 and math.isfinite(self.initial_price)):
+            raise ValueError(f"initial price must be finite and > 0, got {self.initial_price}")
         if int(self.periods) != self.periods or self.periods < 1:
             raise ValueError(f"period count must be a positive integer, got {self.periods}")
         object.__setattr__(self, "periods", int(self.periods))
@@ -192,9 +191,15 @@ def _agent_uniforms(seed: int, period: int, count: int) -> np.ndarray:
     return (raw[0::4] >> np.uint64(11)) * (1.0 / (1 << 53))
 
 
-def _inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cumulative, uniforms, side="right")
-    return np.minimum(idx, len(cumulative) - 1)
+def _inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray, membership: np.ndarray | None = None) -> np.ndarray:
+    """Outcome index per uniform ``u``: the count of cumulative weights ``<= u``,
+    capped at the last outcome. ``cumulative`` is one row for every uniform, or
+    one row per group with ``membership`` naming each uniform's row; it is read
+    a column at a time, so no (uniforms x outcomes) array is built."""
+    idx = np.zeros(np.shape(uniforms), dtype=np.intp)
+    for column in np.asarray(cumulative).T[:-1]:
+        idx += uniforms >= (column if membership is None else column[membership])
+    return idx
 
 
 def _cumulative(dist: OutcomeDistribution) -> np.ndarray:
@@ -260,20 +265,17 @@ def run_sequential_ensemble(
     n = population.count
 
     first_dist = born_distribution(psi, first)
-    first_outcomes = first_dist.outcomes
-    second_outcomes = second.outcomes
+    first_outcomes, second_outcomes = first_dist.outcomes, second.outcomes
+    k1, k2 = len(first_outcomes), len(second_outcomes)
     idx1 = _inverse_cdf(_cumulative(first_dist), _agent_uniforms(seed, 0, n))
-    u2 = _agent_uniforms(seed, 1, n)
-
-    counts = np.zeros((len(first_outcomes), len(second_outcomes)), dtype=np.int64)
-    for g, alpha in enumerate(first_outcomes):
-        mask = idx1 == g
-        if not mask.any():
-            continue
-        conditioned = collapse(psi, projector_for(first, alpha))
-        cond_cum = _cumulative(born_distribution(conditioned, second))
-        idx2 = _inverse_cdf(cond_cum, u2[mask])
-        counts[g] += np.bincount(idx2, minlength=len(second_outcomes))
+    drawn = np.bincount(idx1, minlength=k1) > 0
+    # an undrawn first outcome may be impossible, so nothing collapses onto it
+    conditional = [
+        _cumulative(born_distribution(collapse(psi, projector_for(first, alpha)), second)) if drawn[g] else np.ones(k2)
+        for g, alpha in enumerate(first_outcomes)
+    ]
+    idx2 = _inverse_cdf(np.vstack(conditional), _agent_uniforms(seed, 1, n), idx1)
+    counts = np.bincount(idx1 * k2 + idx2, minlength=k1 * k2).reshape(k1, k2)
     rows = tuple(
         (alpha, beta, counts[g, h] / n)
         for g, alpha in enumerate(first_outcomes)
@@ -286,97 +288,95 @@ def run_sequential_ensemble(
 # Market loop
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("QEXPECT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"QEXPECT_THREADS must be a positive integer, got {raw!r}")
-    return value
+class _News:
+    """One period's news, prepared once per news event: the propagator
+    ``exp(-iHt)`` and classical likelihoods (None without news), and the basis
+    measured after it, its columns grouped by outcome in descending order:
+    outcome ``k`` owns ``ranks[k]`` columns from ``starts[k]`` on."""
 
-
-def _assign_outcomes(
-    uniforms: np.ndarray, membership: np.ndarray, cumulatives: np.ndarray, threads: int
-) -> np.ndarray:
-    """Outcome index per agent given its group's cumulative distribution.
-
-    Chunked across ``threads`` workers; chunk results depend only on their
-    slice, so the assembled array is identical for any thread count.
-    """
-
-    def chunk(lo: int, hi: int) -> np.ndarray:
-        rows = cumulatives[membership[lo:hi]]
-        idx = (uniforms[lo:hi, None] >= rows).sum(axis=1)
-        return np.minimum(idx, cumulatives.shape[1] - 1)
-
-    n = len(uniforms)
-    if threads <= 1 or n < _PARALLEL_CUTOFF:
-        return chunk(0, n)
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pieces = list(pool.map(lambda se: chunk(*se), zip(bounds[:-1], bounds[1:])))
-    return np.concatenate(pieces)
+    def __init__(self, event: NewsEvent | None, price_obs: Observable):
+        obs = price_obs if event is None or event.observable is None else event.observable
+        order = sorted(range(obs.dim), key=lambda j: -obs.eigenvalues[j])
+        values = [obs.eigenvalues[j] for j in order]
+        self.basis = np.column_stack([obs.eigenvectors[j].amplitudes for j in order])
+        self.starts = np.flatnonzero(np.r_[True, np.diff(values) != 0])
+        self.ranks = np.diff(np.r_[self.starts, obs.dim])
+        self.outcomes = np.asarray(obs.outcomes)
+        self.unitary = self.likelihoods = None
+        if event is not None:
+            self.unitary = propagator(event.hamiltonian, event.duration)
+            # classical signal per outcome: the stay probability |<e|U|e>|^2
+            # of its eigenvectors, averaged over degenerate directions
+            stay = np.abs(np.sum(self.basis.conj() * (self.unitary @ self.basis), axis=0)) ** 2
+            self.likelihoods = np.add.reduceat(stay, self.starts) / self.ranks
 
 
 class _QuantumCohort:
-    """Tracks one quantum population as groups of agents sharing a state."""
+    """One quantum population as rows of belief states: every agent whose
+    ``membership`` is ``g`` holds state ``states[g]``."""
 
-    def __init__(self, population: AgentPopulation, offset: int):
-        self.count = population.count
-        self.offset = offset
-        self.states: list[StateVector] = [population.initial_state]
+    def __init__(self, population: AgentPopulation):
+        self.states = population.initial_state.amplitudes[None, :]
         self.membership = np.zeros(population.count, dtype=np.intp)
 
-    def step(self, event: NewsEvent | None, obs: Observable, uniforms: np.ndarray, threads: int) -> np.ndarray:
-        """Evolve, sample, and collapse every agent; returns sampled outcomes."""
-        if event is not None:
-            self.states = [evolve(s, event.hamiltonian, event.duration) for s in self.states]
-        outcome_values = np.asarray(obs.outcomes)
-        cumulatives = np.vstack([_cumulative(born_distribution(s, obs)) for s in self.states])
-        idx = _assign_outcomes(uniforms[self.offset : self.offset + self.count], self.membership, cumulatives, threads)
+    def step(self, news: _News, uniforms: np.ndarray) -> int:
+        """Evolve, sample and collapse every agent, given one uniform per
+        agent; returns how many drew up."""
+        if news.unitary is not None:
+            self.states = self.states @ news.unitary.T
+        amplitudes = self.states @ news.basis.conj()
+        weights = np.add.reduceat(np.abs(amplitudes) ** 2, news.starts, axis=1)
+        idx = _inverse_cdf(np.cumsum(weights, axis=1), uniforms, self.membership)
+        self._collapse(amplitudes, weights, idx, news)
+        return int(np.bincount(idx, minlength=len(news.outcomes))[news.outcomes > 0].sum())
 
-        branch = self.membership * len(outcome_values) + idx
-        labels, self.membership = np.unique(branch, return_inverse=True)
-        self.states = [
-            collapse(self.states[label // len(outcome_values)], projector_for(obs, float(outcome_values[label % len(outcome_values)])))
-            for label in labels
-        ]
-        return outcome_values[idx]
+    def _collapse(self, amplitudes: np.ndarray, weights: np.ndarray, idx: np.ndarray, news: _News) -> None:
+        """Project every agent onto its outcome's eigenspace. All agents of a
+        rank-1 outcome share its eigenvector's row (a global phase changes no
+        later Born weight); a rank > 1 outcome keeps a row per (group, outcome)."""
+        if (news.ranks == 1).all():
+            self.states = news.basis.T
+            self.membership = idx
+            return
+        n_outcomes = len(news.ranks)
+        branch = self.membership * n_outcomes + idx
+        drawn = np.bincount(branch, minlength=len(self.states) * n_outcomes).reshape(-1, n_outcomes) > 0
+        new_row = np.empty(drawn.shape, dtype=np.intp)  # (group, outcome) -> row of the new states
+        blocks, count = [], 0
+        for k, (lo, rank) in enumerate(zip(news.starts, news.ranks)):
+            if rank == 1:
+                block = news.basis[None, :, lo]
+                new_row[:, k] = count
+            else:
+                groups = np.flatnonzero(drawn[:, k])
+                if (weights[groups, k] < ZERO_BRANCH_TOL).any():
+                    raise ImpossibleOutcomeError(
+                        f"cannot collapse onto an outcome of probability {weights[groups, k].min():.3e}"
+                    )
+                projected = amplitudes[groups, lo : lo + rank] @ news.basis[:, lo : lo + rank].T
+                block = projected / np.linalg.norm(projected, axis=1, keepdims=True)
+                new_row[groups, k] = count + np.arange(len(groups))
+            blocks.append(block)
+            count += len(block)
+        self.states = np.concatenate(blocks)
+        self.membership = new_row.ravel()[branch]
 
 
 class _ClassicalCohort:
     """Tracks one classical population; all agents share one belief, updated
     deterministically from the period's news."""
 
-    def __init__(self, population: AgentPopulation, price_obs: Observable, offset: int):
-        self.count = population.count
-        self.offset = offset
+    def __init__(self, population: AgentPopulation, price_obs: Observable):
         dist = born_distribution(population.initial_state, price_obs)
         self.outcomes = np.asarray(dist.outcomes)
         self.belief = np.asarray([p for _, p in dist.entries])
 
-    def step(self, event: NewsEvent | None, obs: Observable, uniforms: np.ndarray, threads: int) -> np.ndarray:
-        if event is not None:
-            likelihoods = _news_likelihoods(event, obs)
-            self.belief, _ = classical_agent_step(self.belief, likelihoods, self.outcomes)
-        cum = np.cumsum(self.belief)
-        idx = _inverse_cdf(cum, uniforms[self.offset : self.offset + self.count])
-        return self.outcomes[idx]
-
-
-def _news_likelihoods(event: NewsEvent, obs: Observable) -> np.ndarray:
-    """Classical signal strength per outcome: the stay probability
-    ``|<e| exp(-iHt) |e>|^2`` of that outcome's eigenvectors, averaged over
-    degenerate directions."""
-    stay: dict[float, list[float]] = {}
-    for vec, lam in zip(obs.eigenvectors, obs.eigenvalues):
-        evolved = evolve(vec, event.hamiltonian, event.duration)
-        stay.setdefault(lam, []).append(abs(inner_product(vec, evolved)) ** 2)
-    return np.asarray([float(np.mean(stay[o])) for o in obs.outcomes])
+    def step(self, news: _News, uniforms: np.ndarray) -> int:
+        """Bayes-update on the news likelihoods, if any, then sample; returns how many drew up."""
+        if news.likelihoods is not None:
+            self.belief, _ = classical_agent_step(self.belief, news.likelihoods, self.outcomes)
+        idx = _inverse_cdf(np.cumsum(self.belief), uniforms)
+        return int(np.bincount(idx, minlength=len(self.outcomes))[self.outcomes > 0].sum())
 
 
 def run_market(scenario: Scenario) -> PricePath:
@@ -388,33 +388,25 @@ def run_market(scenario: Scenario) -> PricePath:
     The up/down fractions over all agents move the price multiplicatively:
     ``price *= 1 + impact * (f_up - f_down)``.
 
-    Bit-identical output for a fixed scenario regardless of thread count.
-    Raises SimulationHalt (carrying the partial path) if the price leaves the
-    positive representable range, which cannot happen while ``impact < 1``.
+    Bit-identical output for a fixed scenario. Raises SimulationHalt
+    (carrying the partial path) if the price leaves the positive
+    representable range, which cannot happen while ``impact < 1``.
     """
-    threads = _thread_budget()
-    cohorts: list[_QuantumCohort | _ClassicalCohort] = []
-    offset = 0
-    for pop in scenario.populations:
-        if pop.kind == "quantum":
-            cohorts.append(_QuantumCohort(pop, offset))
-        else:
-            cohorts.append(_ClassicalCohort(pop, scenario.price_observable, offset))
-        offset += pop.count
+    price_obs = scenario.price_observable
+    schedule = [_News(event, price_obs) for event in scenario.news.events] or [_News(None, price_obs)]
+    cohorts = [
+        _QuantumCohort(pop) if pop.kind == "quantum" else _ClassicalCohort(pop, price_obs)
+        for pop in scenario.populations
+    ]
+    bounds = np.cumsum([0] + [pop.count for pop in scenario.populations])
     total = scenario.total_agents
 
     price = float(scenario.initial_price)
     records: list[PeriodRecord] = []
     for period in range(scenario.periods):
-        event = scenario.news.event_for(period)
-        obs = scenario.price_observable
-        if event is not None and event.observable is not None:
-            obs = event.observable
+        news = schedule[period % len(schedule)]
         uniforms = _agent_uniforms(scenario.seed, period, total)
-        ups = 0
-        for cohort in cohorts:
-            outcomes = cohort.step(event, obs, uniforms, threads)
-            ups += int((outcomes > 0).sum())
+        ups = sum(cohort.step(news, uniforms[lo:hi]) for cohort, lo, hi in zip(cohorts, bounds, bounds[1:]))
         f_up = ups / total
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))

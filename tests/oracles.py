@@ -1,8 +1,13 @@
 """Brute-force reference implementations, independent of the library's code
 paths: everything here works on raw numpy arrays via explicit dense matrix
-arithmetic (chained projector products, Taylor-series exponentials)."""
+arithmetic (chained projector products, Taylor-series exponentials), except
+the reference market, which steps each agent alone through the library's
+single-state operations."""
 
 import numpy as np
+
+from qexpect.hilbert import evolve
+from qexpect.market import agent_stream, sample_measurement
 
 
 def taylor_expm(matrix: np.ndarray) -> np.ndarray:
@@ -91,3 +96,36 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (gauss + gauss.conj().T) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# Reference market
+
+
+def reference_market(scenario) -> list[tuple[float, float, float]]:
+    """``(price, up_fraction, down_fraction)`` per period of a market of
+    quantum agents, each stepped alone: ``evolve`` its own state, then
+    ``sample_measurement`` with its own ``agent_stream(seed, i, period)``.
+    No state is shared between agents, so nothing depends on how a market
+    groups them."""
+    if any(pop.kind != "quantum" for pop in scenario.populations):
+        raise ValueError("the reference market steps quantum agents only")
+    states = [pop.initial_state for pop in scenario.populations for _ in range(pop.count)]
+    price = float(scenario.initial_price)
+    rows = []
+    for period in range(scenario.periods):
+        event = scenario.news.event_for(period)
+        obs = scenario.price_observable
+        if event is not None and event.observable is not None:
+            obs = event.observable
+        ups = 0
+        for i, psi in enumerate(states):
+            if event is not None:
+                psi = evolve(psi, event.hamiltonian, event.duration)
+            outcome, states[i] = sample_measurement(psi, obs, agent_stream(scenario.seed, i, period))
+            ups += outcome > 0
+        f_up = ups / len(states)
+        f_down = 1.0 - f_up
+        price = price * (1.0 + scenario.impact * (f_up - f_down))
+        rows.append((price, f_up, f_down))
+    return rows

@@ -152,6 +152,14 @@ def test_evolve_tracks_the_closed_form():
         assert p_up == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_evolve_rejects_non_finite_t(t, capsys):
+    code, output = run_cli("evolve", str(CONFIGS / "basic.json"), "--t", t)
+    assert code == 1
+    assert output == ""
+    assert "--t: expected a finite number" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 

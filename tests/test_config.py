@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,31 @@ def test_populations_are_required():
     raw = minimal_raw()
     raw["scenario"].pop("populations")
     with pytest.raises(ConfigValidationError, match="populations"):
+        scenario_from_document(document_from_dict(raw))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("scenario", "impact"), float("nan")),
+        (("scenario", "initial_price"), float("inf")),
+        (("scenario", "news", 0, "duration"), float("inf")),
+        (("scenario", "news", 0, "duration"), float("nan")),
+        (("hamiltonians", "news", "omega"), float("nan")),
+        (("scenario", "impact"), 10**400),
+    ],
+    ids=["impact_nan", "initial_price_inf", "duration_inf", "duration_nan", "omega_nan", "impact_huge_int"],
+)
+def test_non_finite_reals_name_their_field(path, value):
+    raw = minimal_raw()
+    raw["hamiltonians"] = {"news": {"preset": "rabi", "omega": 1.0}}
+    raw["scenario"]["news"] = [{"hamiltonian": "news", "duration": 0.5}]
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    field = ".".join(str(k) for k in path).replace(".0.", "[0].")
+    with pytest.raises(ConfigValidationError, match=rf"^{re.escape(field)}: expected a finite number"):
         scenario_from_document(document_from_dict(raw))
 
 

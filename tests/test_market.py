@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import reference_market
+from qexpect import market
 from qexpect.hilbert import Hamiltonian, StateVector, make_observable
 from qexpect.market import (
     AgentPopulation,
@@ -251,6 +253,73 @@ def test_deterministic_across_thread_counts(monkeypatch):
     assert single == quad
 
 
+SPLITTING = Hamiltonian([[1, 0], [0, -1]])
+DEGENERATE = make_observable(np.eye(3), [1.0, 1.0, -1.0])
+_c, _s = np.cos(0.7), np.sin(0.7)
+DEGENERATE_TILTED = make_observable([[_c, _s, 0], [-_s, _c, 0], [0, 0, 1]], [1.0, -1.0, -1.0])
+COUPLING_3 = Hamiltonian([[0.0, 1.0, 0.5], [1.0, 0.3, 0.2j], [0.5, -0.2j, -0.4]])
+
+ORACLE_SCENARIOS = {
+    "rabi_tilted_override": dict(
+        populations=(AgentPopulation(300, StateVector([0.6, 0.8]), "quantum"),),
+        news=NewsSchedule((NewsEvent(RABI, 0.7), NewsEvent(RABI, 0.4, TILTED))),
+    ),
+    "two_quantum_populations": dict(
+        populations=(
+            AgentPopulation(180, StateVector([0.6, 0.8j]), "quantum"),
+            AgentPopulation(120, BALANCED, "quantum"),
+        ),
+        news=NewsSchedule((NewsEvent(RABI, 0.5), NewsEvent(SPLITTING, 0.9, TILTED))),
+    ),
+    "degenerate_rank_2": dict(
+        populations=(AgentPopulation(300, StateVector([0.5, 0.5, np.sqrt(0.5)]), "quantum"),),
+        price_observable=DEGENERATE,
+        news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_market_matches_per_agent_reference(name):
+    sc = scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
+    path = run_market(sc)
+    assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
+
+
+def test_quantum_cohorts_stay_bounded(monkeypatch):
+    # market_deep's shape: every period branches every belief state, yet
+    # rank-1 collapse leaves at most d distinct states per cohort
+    def lean(theta):
+        return StateVector([np.cos(theta), np.sin(theta) * np.exp(0.5j)])
+
+    theta, phi = np.radians(50.0), np.radians(20.0)
+    tilt = make_observable(
+        [
+            [np.cos(theta), np.sin(theta) * np.exp(1j * phi)],
+            [-np.sin(theta) * np.exp(-1j * phi), np.cos(theta)],
+        ],
+        [1.0, -1.0],
+    )
+    sc = scenario(
+        populations=(AgentPopulation(2000, lean(0.4), "quantum"), AgentPopulation(600, lean(0.8), "quantum")),
+        news=NewsSchedule((NewsEvent(RABI, 0.7), NewsEvent(Hamiltonian(0.7 * SPLITTING.matrix), 0.9, tilt))),
+        impact=0.01,
+        periods=11,
+    )
+    rows = []
+    step = market._QuantumCohort.step
+
+    def recording_step(self, *args):
+        result = step(self, *args)
+        rows.append(len(self.states))
+        return result
+
+    monkeypatch.setattr(market._QuantumCohort, "step", recording_step)
+    run_market(sc)
+    assert len(rows) == 2 * 11
+    assert max(rows) <= 2
+
+
 def test_identical_scenarios_reproduce_bitwise():
     sc = scenario(populations=(AgentPopulation(1000, BALANCED, "quantum"),), periods=4)
     assert run_market(sc) == run_market(sc)
@@ -346,6 +415,9 @@ def test_population_validation():
 def test_news_duration_must_be_nonnegative():
     with pytest.raises(ValueError):
         NewsEvent(RABI, -0.5)
+    for duration in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            NewsEvent(RABI, duration)
 
 
 def test_news_schedule_cycles():
@@ -362,6 +434,15 @@ def test_scenario_seed_range():
         scenario(seed=2**64)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("impact", float("nan")), ("impact", float("inf")), ("initial_price", float("nan")), ("initial_price", float("inf"))],
+)
+def test_scenario_rejects_non_finite_impact_and_price(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        scenario(**{field: value})
+
+
 def test_scenario_rejects_non_updown_outcomes():
     weird = make_observable([[1, 0], [0, 1]], [2.0, -1.0])
     with pytest.raises(ValueError, match="outcomes"):
@@ -376,9 +457,3 @@ def test_scenario_rejects_dimension_mismatch():
 def test_scenario_requires_populations():
     with pytest.raises(ValueError):
         scenario(populations=())
-
-
-def test_invalid_thread_budget_rejected(monkeypatch):
-    monkeypatch.setenv("QEXPECT_THREADS", "zero")
-    with pytest.raises(ValueError, match="QEXPECT_THREADS"):
-        run_market(scenario())
