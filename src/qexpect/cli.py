@@ -20,6 +20,7 @@ from . import __version__
 from .config import (
     ConfigParseError,
     ConfigValidationError,
+    _real,
     load_document,
     scenario_from_document,
     scenario_to_dict,
@@ -28,7 +29,7 @@ from .hilbert import projector_for
 from .market import AgentPopulation, PricePath, SimulationHalt, run_ensemble, run_market
 from .measurement import (
     born_distribution,
-    evolved_born,
+    evolved_born_grid,
     interference_term,
     order_effect_from_tables,
     sequential_joint,
@@ -108,11 +109,11 @@ def _cmd_evolve(args, out) -> int:
     psi = doc.state(section.get("state"), "evolve.state")
     hamiltonian = doc.hamiltonian(section.get("hamiltonian"), "evolve.hamiltonian")
     obs = doc.observable(section.get("observable"), "evolve.observable")
-    header = "t," + ",".join(f"p_{_outcome_label(o)}" for o in obs.outcomes)
-    print(header, file=out)
-    for t in np.linspace(0.0, opts.t, opts.grid):
-        dist = evolved_born(psi, hamiltonian, float(t), obs)
-        print(",".join([fmt(t)] + [fmt(p) for _, p in dist.entries]), file=out)
+    times = np.linspace(0.0, opts.t, opts.grid)
+    lines = ["t," + ",".join(f"p_{_outcome_label(o)}" for o in obs.outcomes)]
+    for t, weights in zip(times.tolist(), evolved_born_grid(psi, hamiltonian, times, obs).tolist()):
+        lines.append(",".join([fmt(t)] + [fmt(p) for p in weights]))
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -125,7 +126,7 @@ def _cmd_interference(args, out) -> int:
     if "target_outcome" not in section:
         raise ConfigValidationError("interference.target_outcome: field is required")
     partition = doc.observable(section.get("partition"), "interference.partition")
-    target = projector_for(target_obs, float(section["target_outcome"]))
+    target = projector_for(target_obs, _real(section["target_outcome"], "interference.target_outcome"))
     report = interference_term(psi, target, partition)
     print(
         f"p_direct={fmt(report.p_direct)} p_classical={fmt(report.p_classical_sum)} "

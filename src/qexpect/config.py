@@ -121,6 +121,12 @@ def _build_state(value, where: str) -> StateVector:
         raise ConfigValidationError(f"{where}: {exc}") from exc
 
 
+def _eigenvalues(value, where: str) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigValidationError(f"{where}.eigenvalues: expected a list, got {value!r}")
+    return [_real(v, f"{where}.eigenvalues[{i}]") for i, v in enumerate(value)]
+
+
 def _build_observable(entry, where: str) -> Observable:
     if not isinstance(entry, dict):
         raise ConfigValidationError(f"{where}: expected an object")
@@ -132,12 +138,10 @@ def _build_observable(entry, where: str) -> Observable:
             basis = [_complex_vector(v, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)]
             if "eigenvalues" not in entry:
                 raise ConfigValidationError(f"{where}: missing 'eigenvalues'")
-            values = [_real(v, f"{where}.eigenvalues[{i}]") for i, v in enumerate(entry["eigenvalues"])]
-            return make_observable(basis, values)
+            return make_observable(basis, _eigenvalues(entry["eigenvalues"], where))
         theta = _angle(entry, "angle", where)
         phi = _angle(entry, "phase", where, default=0.0)
-        values = entry.get("eigenvalues", [1.0, -1.0])
-        values = [_real(v, f"{where}.eigenvalues[{i}]") for i, v in enumerate(values)]
+        values = _eigenvalues(entry.get("eigenvalues", [1.0, -1.0]), where)
         if len(values) != 2:
             raise ConfigValidationError(f"{where}: angle form defines 2 outcomes, got {len(values)}")
         up = [math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi))]
@@ -174,9 +178,12 @@ def _build_hamiltonian(entry, where: str) -> Hamiltonian:
                 f"{where}.matrix[{i}][{j}]: not Hermitian (deviates from the "
                 f"conjugate transpose by {dev[i, j]:.3e})"
             )
-        return Hamiltonian(matrix)
+        try:
+            return Hamiltonian(matrix)
+        except ValueError as exc:
+            raise ConfigValidationError(f"{where}.matrix: {exc}") from exc
     preset = entry.get("preset")
-    if preset not in _PRESETS:
+    if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigValidationError(
             f"{where}: needs 'matrix' or a 'preset' from {sorted(_PRESETS)}, got {preset!r}"
         )

@@ -46,9 +46,13 @@ class StateVector:
         arr = _as_complex_vector(self.amplitudes)
         if arr.shape[0] < 2:
             raise ValueError(f"state dimension must be >= 2, got {arr.shape[0]}")
+        if not np.isfinite(arr).all():
+            raise ValueError("state amplitudes must be finite")
         norm = np.linalg.norm(arr)
         if norm < 1e-12:
             raise ValueError("cannot normalize a (near-)zero amplitude vector")
+        if norm == np.inf:
+            raise ValueError("cannot normalize an amplitude vector whose norm overflows")
         object.__setattr__(self, "amplitudes", _frozen(arr / norm))
 
     @property
@@ -75,6 +79,8 @@ class Projector:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"projector must be a square matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("projector entries must be finite")
         if not np.allclose(mat, mat.conj().T, atol=INPUT_TOL):
             raise ValueError("projector is not Hermitian")
         if not np.allclose(mat @ mat, mat, atol=INPUT_TOL):
@@ -97,11 +103,13 @@ class Observable:
 
     Repeated eigenvalues are allowed; outcomes then label eigenspaces and
     :func:`projector_for` returns the rank-``multiplicity`` projector.
+    ``basis`` holds the eigenvectors as columns, in eigenvector order.
     """
 
     eigenvectors: tuple[StateVector, ...]
     eigenvalues: tuple[float, ...]
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vectors = tuple(self.eigenvectors)
@@ -113,6 +121,8 @@ class Observable:
             raise ValueError(f"need {d} eigenvectors for dimension {d}, got {len(vectors)}")
         if len(values) != d:
             raise ValueError(f"need {d} eigenvalues for dimension {d}, got {len(values)}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"observable eigenvalues must be finite, got {values}")
         basis = np.column_stack([v.amplitudes for v in vectors])
         gram = basis.conj().T @ basis
         dev = np.max(np.abs(gram - np.eye(d)))
@@ -122,6 +132,7 @@ class Observable:
         object.__setattr__(self, "eigenvectors", vectors)
         object.__setattr__(self, "eigenvalues", values)
         object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "basis", _frozen(basis))
 
     @property
     def dim(self) -> int:
@@ -144,6 +155,8 @@ class Hamiltonian:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"Hamiltonian must be a square matrix, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("Hamiltonian entries must be finite")
         dev = np.abs(mat - mat.conj().T)
         if dev.max() > INPUT_TOL:
             i, j = np.unravel_index(int(dev.argmax()), dev.shape)
@@ -180,21 +193,25 @@ def make_observable(eigenvectors: Iterable, eigenvalues: Sequence[float]) -> Obs
 def projector_for(obs: Observable, outcome: float) -> Projector:
     """Projector onto the eigenspace of ``outcome``; rank = multiplicity."""
     outcome = float(outcome)
-    columns = [
-        v.amplitudes for v, lam in zip(obs.eigenvectors, obs.eigenvalues) if lam == outcome
-    ]
-    if not columns:
+    basis = obs.basis[:, np.asarray(obs.eigenvalues) == outcome]
+    if not basis.size:
         raise ValueError(f"outcome {outcome} is not an eigenvalue of the observable")
-    basis = np.column_stack(columns)
     return Projector(basis @ basis.conj().T)
 
 
-def propagator(hamiltonian: Hamiltonian, t: float) -> np.ndarray:
+def propagator(hamiltonian: Hamiltonian, t) -> np.ndarray:
     """The unitary ``exp(-i H t)``, by spectral decomposition of the Hermitian
     generator: exact up to roundoff at these dimensions. Negative ``t``
-    evolves backwards."""
+    evolves backwards.
+
+    ``t`` is a scalar, giving a ``(d, d)`` matrix, or an array of times,
+    such as ``G`` grid points giving a ``(G, d, d)`` stack, all from the same
+    single ``eigh``.
+    """
+    times = np.asarray(t, dtype=float)
     energies, modes = np.linalg.eigh(hamiltonian.matrix)
-    return (modes * np.exp(-1j * energies * float(t))) @ modes.conj().T
+    phases = np.exp(-1j * energies * times[..., None])
+    return (modes * phases[..., None, :]) @ modes.conj().T
 
 
 def evolve(psi: StateVector, hamiltonian: Hamiltonian, t: float) -> StateVector:
@@ -202,7 +219,7 @@ def evolve(psi: StateVector, hamiltonian: Hamiltonian, t: float) -> StateVector:
     renormalized so its norm is 1 within 1e-10."""
     if psi.dim != hamiltonian.dim:
         raise ValueError(f"dimension mismatch: state {psi.dim} vs Hamiltonian {hamiltonian.dim}")
-    return StateVector(propagator(hamiltonian, t) @ psi.amplitudes)
+    return StateVector(propagator(hamiltonian, float(t)) @ psi.amplitudes)
 
 
 def commutator_norm(a: Observable, b: Observable) -> float:

@@ -25,6 +25,7 @@ from .measurement import (
     JointTable,
     OutcomeDistribution,
     born_distribution,
+    born_weights,
     collapse,
 )
 
@@ -298,7 +299,7 @@ class _News:
         obs = price_obs if event is None or event.observable is None else event.observable
         order = sorted(range(obs.dim), key=lambda j: -obs.eigenvalues[j])
         values = [obs.eigenvalues[j] for j in order]
-        self.basis = np.column_stack([obs.eigenvectors[j].amplitudes for j in order])
+        self.basis = obs.basis[:, order]
         self.starts = np.flatnonzero(np.r_[True, np.diff(values) != 0])
         self.ranks = np.diff(np.r_[self.starts, obs.dim])
         self.outcomes = np.asarray(obs.outcomes)
@@ -367,9 +368,8 @@ class _ClassicalCohort:
     deterministically from the period's news."""
 
     def __init__(self, population: AgentPopulation, price_obs: Observable):
-        dist = born_distribution(population.initial_state, price_obs)
-        self.outcomes = np.asarray(dist.outcomes)
-        self.belief = np.asarray([p for _, p in dist.entries])
+        self.outcomes = np.asarray(price_obs.outcomes)
+        self.belief = born_weights(population.initial_state.amplitudes, price_obs)
 
     def step(self, news: _News, uniforms: np.ndarray) -> int:
         """Bayes-update on the news likelihoods, if any, then sample; returns how many drew up."""

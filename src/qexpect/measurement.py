@@ -16,9 +16,9 @@ from .hilbert import (
     Observable,
     Projector,
     StateVector,
-    evolve,
     inner_product,
     projector_for,
+    propagator,
 )
 
 # Outcomes with Born weight below this are treated as impossible: no collapse
@@ -117,28 +117,61 @@ def born_probability(psi: StateVector, proj: Projector) -> float:
     return float(np.real(np.vdot(projected, projected)))
 
 
+def born_weights(amplitudes: np.ndarray, obs: Observable) -> np.ndarray:
+    """Born weights of ``obs``'s outcomes, in descending outcome order, for
+    every state in ``amplitudes``: ``(..., d)`` rows give ``(..., K)`` weights.
+
+    The rows are taken as they are: no dimension check, no renormalization.
+    Degenerate eigenvectors are summed in eigenvector order.
+    """
+    per_vector = np.abs(amplitudes @ obs.basis.conj()) ** 2
+    column = {outcome: k for k, outcome in enumerate(obs.outcomes)}
+    weights = np.zeros(per_vector.shape[:-1] + (len(column),))
+    for j, lam in enumerate(obs.eigenvalues):
+        weights[..., column[lam]] += per_vector[..., j]
+    return weights
+
+
 def born_distribution(psi: StateVector, obs: Observable) -> OutcomeDistribution:
     """Full outcome distribution of measuring ``obs`` on ``psi``."""
     if psi.dim != obs.dim:
         raise ValueError(f"dimension mismatch: state {psi.dim} vs observable {obs.dim}")
-    weights = np.abs(
-        np.column_stack([v.amplitudes for v in obs.eigenvectors]).conj().T @ psi.amplitudes
-    ) ** 2
-    acc: dict[float, float] = {}
-    for lam, w in zip(obs.eigenvalues, weights):
-        acc[lam] = acc.get(lam, 0.0) + float(w)
-    entries = tuple(sorted(acc.items(), key=lambda kv: -kv[0]))
-    return OutcomeDistribution(entries)
+    return OutcomeDistribution(tuple(zip(obs.outcomes, born_weights(psi.amplitudes, obs))))
+
+
+def evolved_born_grid(
+    psi: StateVector, hamiltonian: Hamiltonian, times, obs: Observable
+) -> np.ndarray:
+    """Outcome weights after evolving the state to each of ``times``: row
+    ``g`` holds the Born weights of ``obs``'s outcomes, in descending order,
+    at ``times[g]``.
+
+    One ``eigh`` serves the whole grid. Each evolved state is renormalized
+    as :func:`qexpect.hilbert.evolve` does, so row ``g`` equals
+    ``born_distribution(evolve(psi, H, times[g]), obs)`` up to roundoff.
+    """
+    if psi.dim != hamiltonian.dim or psi.dim != obs.dim:
+        raise ValueError(
+            f"dimension mismatch: state {psi.dim}, Hamiltonian {hamiltonian.dim}, "
+            f"observable {obs.dim}"
+        )
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    states = propagator(hamiltonian, times) @ psi.amplitudes
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    return born_weights(states, obs)
 
 
 def evolved_born(
     psi: StateVector, hamiltonian: Hamiltonian, t: float, obs: Observable
 ) -> OutcomeDistribution:
-    """Outcome distribution after evolving the state for time ``t``.
-
-    Defined as the composition ``born_distribution(evolve(psi, H, t), obs)``.
+    """Outcome distribution after evolving the state for time ``t``: the
+    one-time case of :func:`evolved_born_grid`, equal to
+    ``born_distribution(evolve(psi, H, t), obs)`` up to roundoff.
     """
-    return born_distribution(evolve(psi, hamiltonian, t), obs)
+    weights = evolved_born_grid(psi, hamiltonian, [t], obs)[0]
+    return OutcomeDistribution(tuple(zip(obs.outcomes, weights)))
 
 
 def collapse(psi: StateVector, proj: Projector) -> StateVector:

@@ -9,8 +9,12 @@ import numpy as np
 import pytest
 
 from qexpect.cli import fmt, main
-from qexpect.config import document_from_dict, scenario_from_document
+from qexpect.config import document_from_dict, load_document, scenario_from_document
+from qexpect.hilbert import evolve
 from qexpect.market import run_market
+from qexpect.measurement import born_distribution
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -158,6 +162,79 @@ def test_evolve_rejects_non_finite_t(t, capsys):
     assert code == 1
     assert output == ""
     assert "--t: expected a finite number" in capsys.readouterr().err
+
+
+def _pairs(vector) -> list:
+    return [[float(z.real), float(z.imag)] for z in vector]
+
+
+def _evolve_config(tmp_path, rng, d: int, values: list[float]) -> Path:
+    raw = {
+        "version": 1,
+        "states": {"psi": _pairs(oracles.random_state_array(rng, d))},
+        "observables": {"obs": {"vectors": [_pairs(v) for v in oracles.random_unitary(rng, d).T], "eigenvalues": values}},
+        "hamiltonians": {"h": {"matrix": [_pairs(row) for row in oracles.random_hermitian(rng, d)]}},
+        "evolve": {"state": "psi", "hamiltonian": "h", "observable": "obs"},
+    }
+    path = tmp_path / f"evolve_d{d}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 0.5, 0.5, -1.0]], ids=["d2", "d3_rank2", "d4_rank2"]
+)
+def test_evolve_grid_matches_per_point_evaluation(values, tmp_path):
+    path = _evolve_config(tmp_path, np.random.default_rng(len(values)), len(values), values)
+    code, output = run_cli("evolve", str(path), "--t", "-3.5", "--grid", "36")
+    assert code == 0
+    doc = load_document(path)
+    psi, ham, obs = doc.states["psi"], doc.hamiltonians["h"], doc.observables["obs"]
+    rows = output.splitlines()[1:]
+    assert len(rows) == 36
+    for line, t in zip(rows, np.linspace(0.0, -3.5, 36)):
+        printed = [float(x) for x in line.split(",")]
+        expected = [t] + [p for _, p in born_distribution(evolve(psi, ham, t), obs).entries]
+        assert np.abs(np.subtract(printed, expected)).max() < 1e-12
+
+
+def test_evolve_makes_one_eigh_call_per_command(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: calls.append(1) or eigh(matrix))
+    code, output = run_cli("evolve", str(CONFIGS / "basic.json"), "--t", "6.0", "--grid", "301")
+    assert code == 0
+    assert len(output.splitlines()) == 302
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# named errors for malformed config values
+
+
+@pytest.mark.parametrize(
+    "config, path, value, argv, field",
+    [
+        ("basic.json", ("states", "lean_up", 0, 0), float("nan"), ["born"], "states.lean_up"),
+        ("basic.json", ("observables", "price", "eigenvalues"), 5, ["born"], "observables.price.eigenvalues: expected a list"),
+        ("basic.json", ("hamiltonians", "coupling", "preset"), ["rabi"], ["evolve", "--t", "1"], "hamiltonians.coupling"),
+        ("tilted.json", ("interference", "target_outcome"), None, ["interference"], "interference.target_outcome"),
+        ("tilted.json", ("interference", "target_outcome"), [1.0], ["interference"], "interference.target_outcome"),
+    ],
+    ids=["nan_amplitude", "scalar_eigenvalues", "list_preset", "null_target_outcome", "list_target_outcome"],
+)
+def test_malformed_values_exit_1_naming_the_field(config, path, value, argv, field, tmp_path, capsys):
+    raw = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / config
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, output = run_cli(argv[0], str(bad), *argv[1:])
+    assert code == 1
+    assert output == ""
+    assert field in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qexpect.cli import main
 from qexpect.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -255,3 +258,63 @@ def test_section_lookup_errors():
     doc = document_from_dict({"version": 1})
     with pytest.raises(ConfigValidationError, match="born"):
         doc.section("born")
+
+
+# ---------------------------------------------------------------------------
+# mutation gate: no mutated shipped config may end in a traceback or a
+# silent non-finite result
+
+_DROP = "<dropped>"
+_MUTATIONS = (float("nan"), float("inf"), float("-inf"), "text", None, [], {}, True, _DROP)
+_READERS = {
+    "basic.json": (["born"], ["evolve", "--t", "-2.5", "--grid", "5"], ["uncertainty"], ["ensemble", "--n", "100"]),
+    "tilted.json": (["born"], ["interference"], ["order-effect"], ["uncertainty"]),
+    "market.json": (["simulate-market"],),
+}
+_NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+def _node_paths(node, prefix=()):
+    """Path of every node below ``node``: keys of objects, indices of lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutate(raw, path, value):
+    raw = json.loads(json.dumps(raw))
+    *parents, leaf = path
+    target = raw
+    for key in parents:
+        target = target[key]
+    if value == _DROP:
+        del target[leaf]
+    else:
+        target[leaf] = value
+    return raw
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_mutated_configs_give_a_named_error_or_finite_output(name, tmp_path):
+    """Every node of a shipped config, set to NaN, +-Inf, a string, null,
+    [], {} or true, or dropped, must make each command that reads the file
+    exit 1 or 2, or exit 0 with no nan/inf on stdout; never raise."""
+    raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
+    path = tmp_path / name
+    failures = []
+    for node in _node_paths(raw):
+        for value in _MUTATIONS:
+            path.write_text(json.dumps(_mutate(raw, node, value)), encoding="utf-8")
+            for command, *options in _READERS[name]:
+                out = io.StringIO()
+                with contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        code = main([command, str(path), *options], out=out)
+                    except Exception as exc:
+                        failures.append(f"{node} = {value!r}: {command} raised {type(exc).__name__}: {exc}")
+                        continue
+                if code in (1, 2) or (code == 0 and not _NON_FINITE.search(out.getvalue())):
+                    continue
+                failures.append(f"{node} = {value!r}: {command} exited {code} with {out.getvalue()[:80]!r}")
+    assert not failures, f"{len(failures)} bad replies:\n" + "\n".join(failures)

@@ -12,6 +12,7 @@ from qexpect.hilbert import (
     inner_product,
     make_observable,
     projector_for,
+    propagator,
 )
 from qexpect.measurement import born_distribution
 
@@ -50,6 +51,24 @@ def test_rejects_dimension_below_two():
 def test_rejects_zero_vector():
     with pytest.raises(ValueError):
         StateVector([0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_constructors_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        StateVector([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Hamiltonian([[bad, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        Projector([[bad, 0.0], [0.0, 0.0]])
+    if np.isreal(bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_observable(np.eye(2), [1.0, bad])
+
+
+def test_rejects_vector_whose_norm_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        StateVector([1e308, 1e308])
 
 
 def test_amplitudes_are_immutable():
@@ -262,6 +281,18 @@ def test_negative_time_reverses_evolution():
     ham = Hamiltonian(random_hermitian(rng, 3))
     psi = StateVector(random_state_array(rng, 3))
     assert evolve(evolve(psi, ham, 1.3), ham, -1.3).same_state(psi, tol=1e-9)
+
+
+def test_propagator_over_a_time_grid_stacks_the_scalar_calls():
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4):
+        ham = Hamiltonian(random_hermitian(rng, d))
+        times = np.linspace(-3.0, 2.0, 11)
+        stack = propagator(ham, times)
+        assert stack.shape == (len(times), d, d)
+        assert propagator(ham, 0.7).shape == (d, d)
+        for u, t in zip(stack, times):
+            assert np.abs(u - propagator(ham, float(t))).max() < 1e-14
 
 
 def test_non_hermitian_hamiltonian_rejected():

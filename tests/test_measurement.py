@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpect.hilbert import Hamiltonian, StateVector, commutator_norm, make_observable, projector_for
+from qexpect.hilbert import Hamiltonian, StateVector, commutator_norm, evolve, make_observable, projector_for
 from qexpect.measurement import (
     ImpossibleOutcomeError,
     InterferenceReport,
     born_distribution,
     born_probability,
+    born_weights,
     collapse,
     evolved_born,
+    evolved_born_grid,
     interference_term,
     order_effect,
     sequential_joint,
@@ -141,6 +143,39 @@ def test_evolved_born_stationary_for_diagonal_hamiltonian():
     for t in (0.3, 1.7, 9.2):
         dist = evolved_born(psi, ham, t, PRICE)
         assert dist.probability(1.0) == pytest.approx(0.36, abs=1e-12)
+
+
+def test_evolved_born_grid_matches_per_point_evaluation():
+    rng = np.random.default_rng(29)
+    for d, values in ((2, [1.0, -1.0]), (3, [1.0, -1.0, 1.0]), (4, [-1.0, 1.0, 1.0, -1.0])):
+        psi = StateVector(oracles.random_state_array(rng, d))
+        ham = Hamiltonian(oracles.random_hermitian(rng, d))
+        obs = make_observable(oracles.random_unitary(rng, d).T, values)
+        times = np.linspace(0.0, -4.0, 41)
+        grid = evolved_born_grid(psi, ham, times, obs)
+        assert grid.shape == (len(times), 2)
+        for row, t in zip(grid, times):
+            expected = born_distribution(evolve(psi, ham, float(t)), obs)
+            assert np.abs(row - [p for _, p in expected.entries]).max() < 1e-14
+
+
+def test_evolved_born_grid_rejects_non_finite_times_and_mismatches():
+    ham = Hamiltonian([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="finite"):
+        evolved_born_grid(PLUS, ham, [0.0, np.nan], PRICE)
+    with pytest.raises(ValueError, match="mismatch"):
+        evolved_born_grid(StateVector([1, 0, 0]), ham, [0.0], PRICE)
+
+
+def test_born_weights_of_a_batch_match_each_row():
+    rng = np.random.default_rng(31)
+    obs = make_observable(oracles.random_unitary(rng, 4).T, [0.5, -1.0, 0.5, 2.0])
+    rows = np.array([oracles.random_state_array(rng, 4) for _ in range(6)]).reshape(2, 3, 4)
+    weights = born_weights(rows, obs)
+    assert weights.shape == (2, 3, 3)
+    for index in np.ndindex(2, 3):
+        dist = born_distribution(StateVector(rows[index]), obs)
+        assert np.abs(weights[index] - [p for _, p in dist.entries]).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +316,28 @@ def test_sequential_joint_matches_chained_projector_oracle():
                 assert table.probability(alpha, beta) == pytest.approx(
                     expected[i, j], abs=1e-12
                 )
+
+
+def _binary_observable(rng, d, ups):
+    """Random basis, outcome +1 on ``ups`` of its directions and -1 on the rest."""
+    values = [1.0] * ups + [-1.0] * (d - ups)
+    return make_observable(oracles.random_unitary(rng, d).T, rng.permutation(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), data=st.data())
+def test_qq_equality(seed, d, data):
+    """Wang & Busemeyer (2013): for any state and any two binary projective
+    observables, p(A+,B-) + p(A-,B+) = p(B+,A-) + p(B-,A+), however large the
+    order effect."""
+    rng = np.random.default_rng(seed)
+    a = _binary_observable(rng, d, data.draw(st.integers(1, d - 1)))
+    b = _binary_observable(rng, d, data.draw(st.integers(1, d - 1)))
+    psi = StateVector(oracles.random_state_array(rng, d))
+    ab, ba = sequential_joint(psi, a, b), sequential_joint(psi, b, a)
+    lhs = ab.probability(1.0, -1.0) + ab.probability(-1.0, 1.0)
+    rhs = ba.probability(1.0, -1.0) + ba.probability(-1.0, 1.0)
+    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
