@@ -107,7 +107,10 @@ def _angle(entry: dict, key: str, where: str, default: float | None = None) -> f
             raise ConfigValidationError(f"{where}: missing '{key}'")
         return default
     value = _real(entry[key], f"{where}.{key}")
-    if entry.get("degrees", False):
+    degrees = entry.get("degrees", False)
+    if not isinstance(degrees, bool):
+        raise ConfigValidationError(f"{where}.degrees: expected true or false, got {degrees!r}")
+    if degrees:
         value = math.radians(value)
     return value
 

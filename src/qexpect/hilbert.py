@@ -48,7 +48,8 @@ class StateVector:
             raise ValueError(f"state dimension must be >= 2, got {arr.shape[0]}")
         if not np.isfinite(arr).all():
             raise ValueError("state amplitudes must be finite")
-        norm = np.linalg.norm(arr)
+        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+            norm = np.linalg.norm(arr)
         if norm < 1e-12:
             raise ValueError("cannot normalize a (near-)zero amplitude vector")
         if norm == np.inf:

@@ -177,29 +177,47 @@ def _period_key(seed: int, period: int) -> np.ndarray:
 def agent_stream(seed: int, agent_index: int, period: int) -> Generator:
     """The derived random stream of one agent in one period.
 
-    Its first variate equals element ``agent_index`` of
-    :func:`_agent_uniforms` for the same ``(seed, period)``.
+    Its first variate is word 0 of block ``agent_index`` of the Philox stream
+    keyed by ``(seed, period)``: the draw that :func:`run_market` reads for
+    that agent.
     """
     bits = Philox(key=_period_key(seed, period))
     bits.advance(int(agent_index))
     return Generator(bits)
 
 
-def _agent_uniforms(seed: int, period: int, count: int) -> np.ndarray:
-    """Uniform variate for every agent index at once; agent ``i`` gets the
-    first draw of its own Philox block (one block = 4 raw words)."""
-    raw = Philox(key=_period_key(seed, period)).random_raw(4 * count)
-    return (raw[0::4] >> np.uint64(11)) * (1.0 / (1 << 53))
+# Agents drawn per read of a Philox stream: 4 words each, 512 KiB a chunk.
+_CHUNK = 16384
 
 
-def _inverse_cdf(cumulative: np.ndarray, uniforms: np.ndarray, membership: np.ndarray | None = None) -> np.ndarray:
-    """Outcome index per uniform ``u``: the count of cumulative weights ``<= u``,
-    capped at the last outcome. ``cumulative`` is one row for every uniform, or
-    one row per group with ``membership`` naming each uniform's row; it is read
-    a column at a time, so no (uniforms x outcomes) array is built."""
-    idx = np.zeros(np.shape(uniforms), dtype=np.intp)
-    for column in np.asarray(cumulative).T[:-1]:
-        idx += uniforms >= (column if membership is None else column[membership])
+def _thresholds(cumulative) -> np.ndarray:
+    """Cumulative weights as 53-bit integers: a draw ``u = k * 2**-53`` has
+    ``u >= c`` exactly when ``k >= ceil(c * 2**53)`` for ``c`` in [0, 1]; ``c > 1``
+    and NaN map to ``2**53``, which no draw reaches (``fmin`` drops the NaN)."""
+    return np.fmin(np.ceil(np.maximum(cumulative, 0.0) * 2.0**53), 2.0**53).astype(np.uint64)
+
+
+def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarray | None = None) -> np.ndarray:
+    """Outcome index per 53-bit draw: the count of cumulative thresholds it
+    reaches, capped at the last outcome. ``thresholds`` is one row for every
+    draw, or one row per group with ``membership`` naming each draw's row; it
+    is read a column at a time, so no (draws x outcomes) array is built."""
+    idx = np.zeros(np.shape(draws), dtype=np.intp)
+    for column in np.asarray(thresholds).T[:-1]:
+        idx += draws >= (column if membership is None else column[membership])
+    return idx
+
+
+def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None) -> np.ndarray:
+    """Outcome index of each of the next ``count`` agents on ``bits``: an agent
+    keeps word 0 of its Philox block as ``k = w >> 11``. Blocks are read
+    ``_CHUNK`` agents at a time and decided while they are still in cache."""
+    thresholds = _thresholds(cumulative)
+    idx = np.empty(count, dtype=np.intp)
+    for lo in range(0, count, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        draws = bits.random_raw(4 * min(_CHUNK, count - lo))[::4] >> 11
+        idx[chunk] = _inverse_cdf(thresholds, draws, None if membership is None else membership[chunk])
     return idx
 
 
@@ -220,7 +238,7 @@ def sample_measurement(
     Outcomes of zero probability are never drawn.
     """
     dist = born_distribution(psi, obs)
-    k = int(_inverse_cdf(_cumulative(dist), np.asarray(rng.random())))
+    k = int(_inverse_cdf(_thresholds(_cumulative(dist)), np.uint64(rng.random() * 2.0**53)))
     outcome = dist.outcomes[k]
     return outcome, collapse(psi, projector_for(obs, outcome))
 
@@ -235,7 +253,7 @@ def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> Out
             "the classical_agent_step pipeline"
         )
     dist = born_distribution(population.initial_state, obs)
-    idx = _inverse_cdf(_cumulative(dist), _agent_uniforms(seed, 0, population.count))
+    idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count)
     counts = np.bincount(idx, minlength=len(dist.entries))
     entries = tuple(
         (outcome, count / population.count)
@@ -268,14 +286,14 @@ def run_sequential_ensemble(
     first_dist = born_distribution(psi, first)
     first_outcomes, second_outcomes = first_dist.outcomes, second.outcomes
     k1, k2 = len(first_outcomes), len(second_outcomes)
-    idx1 = _inverse_cdf(_cumulative(first_dist), _agent_uniforms(seed, 0, n))
+    idx1 = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(first_dist), n)
     drawn = np.bincount(idx1, minlength=k1) > 0
     # an undrawn first outcome may be impossible, so nothing collapses onto it
     conditional = [
         _cumulative(born_distribution(collapse(psi, projector_for(first, alpha)), second)) if drawn[g] else np.ones(k2)
         for g, alpha in enumerate(first_outcomes)
     ]
-    idx2 = _inverse_cdf(np.vstack(conditional), _agent_uniforms(seed, 1, n), idx1)
+    idx2 = _draw_outcomes(Philox(key=_period_key(seed, 1)), np.vstack(conditional), n, idx1)
     counts = np.bincount(idx1 * k2 + idx2, minlength=k1 * k2).reshape(k1, k2)
     rows = tuple(
         (alpha, beta, counts[g, h] / n)
@@ -302,7 +320,7 @@ class _News:
         self.basis = obs.basis[:, order]
         self.starts = np.flatnonzero(np.r_[True, np.diff(values) != 0])
         self.ranks = np.diff(np.r_[self.starts, obs.dim])
-        self.outcomes = np.asarray(obs.outcomes)
+        self.ups = sum(o > 0 for o in obs.outcomes)  # outcomes descend: indices below this are up
         self.unitary = self.likelihoods = None
         if event is not None:
             self.unitary = propagator(event.hamiltonian, event.duration)
@@ -320,16 +338,16 @@ class _QuantumCohort:
         self.states = population.initial_state.amplitudes[None, :]
         self.membership = np.zeros(population.count, dtype=np.intp)
 
-    def step(self, news: _News, uniforms: np.ndarray) -> int:
-        """Evolve, sample and collapse every agent, given one uniform per
-        agent; returns how many drew up."""
+    def step(self, news: _News, bits: Philox) -> int:
+        """Evolve, sample and collapse every agent, drawing the cohort's
+        agents in order from ``bits``; returns how many drew up."""
         if news.unitary is not None:
             self.states = self.states @ news.unitary.T
         amplitudes = self.states @ news.basis.conj()
         weights = np.add.reduceat(np.abs(amplitudes) ** 2, news.starts, axis=1)
-        idx = _inverse_cdf(np.cumsum(weights, axis=1), uniforms, self.membership)
+        idx = _draw_outcomes(bits, np.cumsum(weights, axis=1), len(self.membership), self.membership)
         self._collapse(amplitudes, weights, idx, news)
-        return int(np.bincount(idx, minlength=len(news.outcomes))[news.outcomes > 0].sum())
+        return int(np.count_nonzero(idx < news.ups))
 
     def _collapse(self, amplitudes: np.ndarray, weights: np.ndarray, idx: np.ndarray, news: _News) -> None:
         """Project every agent onto its outcome's eigenspace. All agents of a
@@ -368,15 +386,18 @@ class _ClassicalCohort:
     deterministically from the period's news."""
 
     def __init__(self, population: AgentPopulation, price_obs: Observable):
+        self.count = population.count
         self.outcomes = np.asarray(price_obs.outcomes)
+        self.ups = sum(o > 0 for o in price_obs.outcomes)
         self.belief = born_weights(population.initial_state.amplitudes, price_obs)
 
-    def step(self, news: _News, uniforms: np.ndarray) -> int:
-        """Bayes-update on the news likelihoods, if any, then sample; returns how many drew up."""
+    def step(self, news: _News, bits: Philox) -> int:
+        """Bayes-update on the news likelihoods, if any, then sample from
+        ``bits``; returns how many drew up."""
         if news.likelihoods is not None:
             self.belief, _ = classical_agent_step(self.belief, news.likelihoods, self.outcomes)
-        idx = _inverse_cdf(np.cumsum(self.belief), uniforms)
-        return int(np.bincount(idx, minlength=len(self.outcomes))[self.outcomes > 0].sum())
+        idx = _draw_outcomes(bits, np.cumsum(self.belief), self.count)
+        return int(np.count_nonzero(idx < self.ups))
 
 
 def run_market(scenario: Scenario) -> PricePath:
@@ -398,15 +419,15 @@ def run_market(scenario: Scenario) -> PricePath:
         _QuantumCohort(pop) if pop.kind == "quantum" else _ClassicalCohort(pop, price_obs)
         for pop in scenario.populations
     ]
-    bounds = np.cumsum([0] + [pop.count for pop in scenario.populations])
     total = scenario.total_agents
 
     price = float(scenario.initial_price)
     records: list[PeriodRecord] = []
     for period in range(scenario.periods):
         news = schedule[period % len(schedule)]
-        uniforms = _agent_uniforms(scenario.seed, period, total)
-        ups = sum(cohort.step(news, uniforms[lo:hi]) for cohort, lo, hi in zip(cohorts, bounds, bounds[1:]))
+        # cohorts hold contiguous agent ranges, so they read one stream in turn
+        bits = Philox(key=_period_key(scenario.seed, period))
+        ups = sum(cohort.step(news, bits) for cohort in cohorts)
         f_up = ups / total
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))

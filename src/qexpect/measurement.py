@@ -6,6 +6,7 @@ Pure functions over the immutable types from :mod:`qexpect.hilbert`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,7 +277,8 @@ def uncertainty_product(
 
     Returns ``(dA * dB, 0.5 * |<psi|[A,B]|psi>|)`` with
     ``dX = sqrt(<X^2> - <X>^2)``; the product always dominates the bound up
-    to 1e-10 roundoff.
+    to 1e-10 roundoff. Raises ValueError when either value overflows, as
+    it can for eigenvalues near the float range.
     """
     if psi.dim != a.dim or psi.dim != b.dim:
         raise ValueError("dimension mismatch between state and observables")
@@ -287,6 +289,10 @@ def uncertainty_product(
         mean_sq = np.real(np.vdot(vec, op @ (op @ vec)))
         return float(np.sqrt(max(mean_sq - mean**2, 0.0)))
 
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    bound = 0.5 * abs(complex(np.vdot(vec, comm @ vec)))
-    return spread(a.matrix) * spread(b.matrix), float(bound)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        comm = a.matrix @ b.matrix - b.matrix @ a.matrix
+        bound = 0.5 * abs(complex(np.vdot(vec, comm @ vec)))
+        product = spread(a.matrix) * spread(b.matrix)
+    if not (math.isfinite(product) and math.isfinite(bound)):
+        raise ValueError("uncertainty product overflows: observable eigenvalues are too large")
+    return product, float(bound)

@@ -237,6 +237,31 @@ def test_malformed_values_exit_1_naming_the_field(config, path, value, argv, fie
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "integer", "null"])
+def test_degrees_must_be_a_boolean(value, tmp_path, capsys):
+    raw = json.loads((CONFIGS / "tilted.json").read_text(encoding="utf-8"))
+    raw["observables"]["tilted"]["degrees"] = value
+    bad = tmp_path / "tilted.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, output = run_cli("born", str(bad))
+    assert code == 1
+    assert output == ""
+    assert "observables.tilted.degrees: expected true or false" in capsys.readouterr().err
+
+
+def test_uncertainty_overflow_exits_1(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "basic.json").read_text(encoding="utf-8"))
+    raw["observables"]["diagonal_45"]["eigenvalues"] = [1e308, -1.0]
+    bad = tmp_path / "basic.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, output = run_cli("uncertainty", str(bad))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert output == ""
+    assert "uncertainty product overflows" in err
+    assert "nan" not in err and "RuntimeWarning" not in err
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import reference_market
 from qexpect import market
-from qexpect.hilbert import Hamiltonian, StateVector, make_observable
+from qexpect.hilbert import Hamiltonian, StateVector, evolve, make_observable
 from qexpect.market import (
     AgentPopulation,
     NewsEvent,
@@ -284,6 +284,98 @@ def test_market_matches_per_agent_reference(name):
     sc = scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
     path = run_market(sc)
     assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
+
+
+# ---------------------------------------------------------------------------
+# chunked draws and integer thresholds
+
+EDGE_CUTS = [
+    0.0, -0.0, 5e-324,
+    2.0**-53, np.nextafter(2.0**-53, 0), np.nextafter(2.0**-53, 1),
+    0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1),
+    1 - 2.0**-53, 1.0, 1 + 2.0**-52,
+    np.inf, -np.inf, np.nan,
+]
+
+
+def test_integer_thresholds_match_the_float_comparison():
+    top = 2**53 - 1
+    on_draws = np.array([k * 2.0**-53 for k in (1, 3, 2**52 - 1, 2**52 + 1, top)])
+    cuts = np.concatenate([EDGE_CUTS, on_draws, np.nextafter(on_draws, 0), np.nextafter(on_draws, 2)])
+    # draws at and next to every cut, and at both ends of the range
+    scaled = np.nan_to_num(cuts * 2.0**53, nan=0.0, posinf=top, neginf=0.0)
+    centres = np.floor(scaled).astype(np.int64)
+    nearby = np.concatenate([centres + step for step in (-1, 0, 1, 2)] + [[0, 1, 2**52, top]])
+    draws = np.unique(np.clip(nearby, 0, top)).astype(np.uint64)
+    by_integer = draws[:, None] >= market._thresholds(cuts)[None, :]
+    by_float = (draws * 2.0**-53)[:, None] >= cuts[None, :]
+    assert (by_integer == by_float).all()
+
+
+def test_inverse_cdf_matches_the_float_rule():
+    rng = np.random.default_rng(3)
+    weights = rng.dirichlet(np.ones(4), size=50)
+    weights[::7, 1] = 0.0  # outcomes that can never be drawn
+    cumulative = np.cumsum(weights, axis=1)
+    draws = rng.integers(0, 2**53, size=20_000, dtype=np.uint64)
+    membership = rng.integers(0, 50, size=20_000)
+    expected = ((draws * 2.0**-53)[:, None] >= cumulative[membership, :-1]).sum(axis=1)
+    idx = market._inverse_cdf(market._thresholds(cumulative), draws, membership)
+    assert (idx == expected).all()
+    assert not (idx[membership % 7 == 0] == 1).any()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_chunk_size_does_not_change_results(chunk, monkeypatch):
+    # population sizes are not multiples of the chunk, so cohorts start and
+    # end mid-chunk
+    sc = scenario(
+        populations=(
+            AgentPopulation(150, StateVector([0.6, 0.8j]), "quantum"),
+            AgentPopulation(91, StateVector([0.8, 0.6]), "classical"),
+            AgentPopulation(77, BALANCED, "quantum"),
+        ),
+        news=NewsSchedule((NewsEvent(RABI, 0.5), NewsEvent(SPLITTING, 0.9, TILTED))),
+        periods=5,
+    )
+    pop = AgentPopulation(150, StateVector([0.6, 0.8j]), "quantum")
+
+    def results():
+        return run_market(sc), run_ensemble(pop, TILTED, 9), run_sequential_ensemble(pop, PRICE, TILTED, "ij", 9)
+
+    expected = results()
+    monkeypatch.setattr(market, "_CHUNK", chunk)
+    assert results() == expected
+
+
+def test_agents_at_chunk_edges_draw_from_their_own_stream(monkeypatch):
+    # a classical population comes first, so the quantum agents' Philox
+    # blocks are offset from their index in the cohort
+    n = 2 * market._CHUNK + 3
+    psi = StateVector([0.6, 0.8j])
+    sc = scenario(
+        populations=(AgentPopulation(5, BALANCED, "classical"), AgentPopulation(n, psi, "quantum")),
+        news=NewsSchedule((NewsEvent(RABI, 0.5), NewsEvent(SPLITTING, 0.9, TILTED))),
+        periods=3,
+    )
+    drawn = []
+    step = market._QuantumCohort.step
+
+    def recording_step(self, news, bits):
+        result = step(self, news, bits)
+        # rank-1 collapse leaves agent i on row membership[i], its outcome index
+        drawn.append(np.where(self.membership < news.ups, 1.0, -1.0))
+        return result
+
+    monkeypatch.setattr(market._QuantumCohort, "step", recording_step)
+    run_market(sc)
+    for j in (market._CHUNK - 1, market._CHUNK, market._CHUNK + 1, n - 1):
+        state = psi
+        for period in range(sc.periods):
+            event = sc.news.event_for(period)
+            state = evolve(state, event.hamiltonian, event.duration)
+            outcome, state = sample_measurement(state, event.observable or PRICE, agent_stream(sc.seed, 5 + j, period))
+            assert drawn[period][j] == outcome
 
 
 def test_quantum_cohorts_stay_bounded(monkeypatch):
