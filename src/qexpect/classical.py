@@ -37,11 +37,11 @@ class ClassicalConditionalModel:
         if not probs:
             raise ValueError("partition must contain at least one event")
         total = sum(probs)
-        if abs(total - 1.0) > PARTITION_TOL:
+        if not abs(total - 1.0) <= PARTITION_TOL:
             raise ValueError(f"partition probabilities sum to {total}, not 1")
-        if any(p <= 0.0 for p in probs):
+        if not all(p > 0.0 for p in probs):
             raise ValueError("every partition event needs strictly positive probability")
-        if any(c < -1e-12 or c > 1.0 + 1e-12 for c in conds):
+        if not all(-1e-12 <= c <= 1.0 + 1e-12 for c in conds):
             raise ValueError("conditional probabilities must lie in [0, 1]")
         object.__setattr__(self, "partition_probs", probs)
         object.__setattr__(self, "conditionals", conds)
@@ -64,13 +64,13 @@ def bayes_update(prior: Sequence[float], likelihoods: Sequence[float]) -> np.nda
     like_arr = np.asarray(likelihoods, dtype=float)
     if prior_arr.shape != like_arr.shape:
         raise ValueError(f"prior shape {prior_arr.shape} vs likelihoods {like_arr.shape}")
-    if abs(prior_arr.sum() - 1.0) > PARTITION_TOL:
+    if not abs(prior_arr.sum() - 1.0) <= PARTITION_TOL:
         raise ValueError(f"prior sums to {prior_arr.sum()}, not 1")
-    if np.any(like_arr < -1e-12) or np.any(like_arr > 1.0 + 1e-12):
+    if not np.all((like_arr >= -1e-12) & (like_arr <= 1.0 + 1e-12)):
         raise ValueError("likelihoods must lie in [0, 1]")
     joint = prior_arr * like_arr
     evidence = joint.sum()
-    if evidence <= 0.0:
+    if not evidence > 0.0:
         raise ImpossibleEvidenceError("evidence has zero probability under the prior")
     return joint / evidence
 
@@ -86,4 +86,6 @@ def classical_agent_step(
     values = np.asarray(outcomes, dtype=float)
     if values.shape != posterior.shape:
         raise ValueError(f"{posterior.shape[0]} belief entries but {values.shape[0]} outcomes")
+    if not np.isfinite(values).all():
+        raise ValueError(f"outcome values must be finite, got {values}")
     return posterior, float(posterior @ values)

@@ -2,13 +2,15 @@
 projectors, and unitary time evolution.
 
 All values are immutable and all operations are pure functions, so everything
-in this module is safe to share across threads.
+in this module is safe to share across threads (two threads that race to
+build an observable's lazy layout compute equal values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +90,13 @@ class Projector:
             raise ValueError("projector is not idempotent")
         object.__setattr__(self, "matrix", _frozen(mat))
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "Projector":
+        """``B Bᴴ`` of columns already checked to be orthonormal, unchecked."""
+        proj = object.__new__(cls)
+        object.__setattr__(proj, "matrix", _frozen(matrix))
+        return proj
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -97,6 +106,18 @@ class Projector:
         return int(round(np.trace(self.matrix).real))
 
 
+class SpectralLayout(NamedTuple):
+    """An observable's eigenbasis grouped by descending outcome: ``outcomes[k]``
+    owns ``ranks[k]`` columns of ``columns`` from ``starts[k]`` on, in
+    eigenvector order, and ``projectors[k]`` projects onto their span."""
+
+    outcomes: tuple[float, ...]
+    columns: np.ndarray
+    starts: np.ndarray
+    ranks: np.ndarray
+    projectors: tuple[Projector, ...]
+
+
 @dataclass(frozen=True)
 class Observable:
     """Hermitian operator given as an orthonormal eigenbasis plus real
@@ -104,7 +125,8 @@ class Observable:
 
     Repeated eigenvalues are allowed; outcomes then label eigenspaces and
     :func:`projector_for` returns the rank-``multiplicity`` projector.
-    ``basis`` holds the eigenvectors as columns, in eigenvector order.
+    ``basis`` holds the eigenvectors as columns, in eigenvector order;
+    :attr:`layout` groups them by outcome.
     """
 
     eigenvectors: tuple[StateVector, ...]
@@ -139,10 +161,25 @@ class Observable:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
+    @cached_property
+    def layout(self) -> SpectralLayout:
+        """The eigenbasis grouped by outcome, built on first use, so that
+        an observable that is never measured costs only its Gram check."""
+        # a stable sort: degenerate columns keep eigenvector order
+        order = sorted(range(self.dim), key=lambda j: -self.eigenvalues[j])
+        values = [self.eigenvalues[j] for j in order]
+        starts = [k for k in range(self.dim) if k == 0 or values[k] != values[k - 1]]
+        ends = starts[1:] + [self.dim]
+        columns = _frozen(self.basis[:, order])
+        blocks = (columns[:, lo:hi] for lo, hi in zip(starts, ends))
+        projectors = tuple(Projector._trusted(b @ b.conj().T) for b in blocks)
+        ranks = _frozen(np.subtract(ends, starts))
+        return SpectralLayout(tuple(values[k] for k in starts), columns, _frozen(np.array(starts)), ranks, projectors)
+
     @property
     def outcomes(self) -> tuple[float, ...]:
         """Distinct eigenvalues in descending order."""
-        return tuple(sorted(set(self.eigenvalues), reverse=True))
+        return self.layout.outcomes
 
 
 @dataclass(frozen=True)
@@ -194,10 +231,10 @@ def make_observable(eigenvectors: Iterable, eigenvalues: Sequence[float]) -> Obs
 def projector_for(obs: Observable, outcome: float) -> Projector:
     """Projector onto the eigenspace of ``outcome``; rank = multiplicity."""
     outcome = float(outcome)
-    basis = obs.basis[:, np.asarray(obs.eigenvalues) == outcome]
-    if not basis.size:
+    layout = obs.layout
+    if outcome not in layout.outcomes:
         raise ValueError(f"outcome {outcome} is not an eigenvalue of the observable")
-    return Projector(basis @ basis.conj().T)
+    return layout.projectors[layout.outcomes.index(outcome)]
 
 
 def propagator(hamiltonian: Hamiltonian, t) -> np.ndarray:
@@ -211,7 +248,10 @@ def propagator(hamiltonian: Hamiltonian, t) -> np.ndarray:
     """
     times = np.asarray(t, dtype=float)
     energies, modes = np.linalg.eigh(hamiltonian.matrix)
-    phases = np.exp(-1j * energies * times[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phase is rejected below
+        phases = np.exp(-1j * energies * times[..., None])
+    if not np.isfinite(phases).all():
+        raise ValueError("propagator phase energy * t is not finite: Hamiltonian or time too large")
     return (modes * phases[..., None, :]) @ modes.conj().T
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .classical import classical_agent_step
-from .hilbert import Hamiltonian, Observable, StateVector, projector_for, propagator
+from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, propagator
 from .measurement import (
     ZERO_BRANCH_TOL,
     ImpossibleOutcomeError,
@@ -96,7 +96,7 @@ class PeriodRecord:
     down_fraction: float
 
     def __post_init__(self) -> None:
-        if abs(self.up_fraction + self.down_fraction - 1.0) > 1e-12:
+        if not abs(self.up_fraction + self.down_fraction - 1.0) <= 1e-12:
             raise ValueError("up and down fractions must sum to 1")
         if not (self.price > 0 and math.isfinite(self.price)):
             raise ValueError(f"price must be positive and finite, got {self.price}")
@@ -155,6 +155,13 @@ class Scenario:
                 )
             if obs.dim != d:
                 raise ValueError("observable override dimension does not match scenario")
+        classical = any(pop.kind == "classical" for pop in self.populations)
+        for i, obs in enumerate(e.observable for e in self.news.events):
+            if classical and obs is not None and obs.outcomes != self.price_observable.outcomes:
+                raise ValueError(
+                    f"news[{i}].observable: outcomes {obs.outcomes} differ from the price "
+                    f"observable's {self.price_observable.outcomes}, which classical beliefs are over"
+                )
 
     def _all_observables(self) -> list[Observable]:
         seen = [self.price_observable]
@@ -239,8 +246,7 @@ def sample_measurement(
     """
     dist = born_distribution(psi, obs)
     k = int(_inverse_cdf(_thresholds(_cumulative(dist)), np.uint64(rng.random() * 2.0**53)))
-    outcome = dist.outcomes[k]
-    return outcome, collapse(psi, projector_for(obs, outcome))
+    return dist.outcomes[k], collapse(psi, obs.layout.projectors[k])
 
 
 def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> OutcomeDistribution:
@@ -290,8 +296,8 @@ def run_sequential_ensemble(
     drawn = np.bincount(idx1, minlength=k1) > 0
     # an undrawn first outcome may be impossible, so nothing collapses onto it
     conditional = [
-        _cumulative(born_distribution(collapse(psi, projector_for(first, alpha)), second)) if drawn[g] else np.ones(k2)
-        for g, alpha in enumerate(first_outcomes)
+        _cumulative(born_distribution(collapse(psi, proj), second)) if drawn[g] else np.ones(k2)
+        for g, proj in enumerate(first.layout.projectors)
     ]
     idx2 = _draw_outcomes(Philox(key=_period_key(seed, 1)), np.vstack(conditional), n, idx1)
     counts = np.bincount(idx1 * k2 + idx2, minlength=k1 * k2).reshape(k1, k2)
@@ -309,25 +315,20 @@ def run_sequential_ensemble(
 
 class _News:
     """One period's news, prepared once per news event: the propagator
-    ``exp(-iHt)`` and classical likelihoods (None without news), and the basis
-    measured after it, its columns grouped by outcome in descending order:
-    outcome ``k`` owns ``ranks[k]`` columns from ``starts[k]`` on."""
+    ``exp(-iHt)`` and classical likelihoods (None without news), and the
+    spectral layout of the observable measured after it."""
 
     def __init__(self, event: NewsEvent | None, price_obs: Observable):
         obs = price_obs if event is None or event.observable is None else event.observable
-        order = sorted(range(obs.dim), key=lambda j: -obs.eigenvalues[j])
-        values = [obs.eigenvalues[j] for j in order]
-        self.basis = obs.basis[:, order]
-        self.starts = np.flatnonzero(np.r_[True, np.diff(values) != 0])
-        self.ranks = np.diff(np.r_[self.starts, obs.dim])
-        self.ups = sum(o > 0 for o in obs.outcomes)  # outcomes descend: indices below this are up
+        self.layout = layout = obs.layout
+        self.ups = sum(o > 0 for o in layout.outcomes)  # outcomes descend: indices below this are up
         self.unitary = self.likelihoods = None
         if event is not None:
             self.unitary = propagator(event.hamiltonian, event.duration)
             # classical signal per outcome: the stay probability |<e|U|e>|^2
             # of its eigenvectors, averaged over degenerate directions
-            stay = np.abs(np.sum(self.basis.conj() * (self.unitary @ self.basis), axis=0)) ** 2
-            self.likelihoods = np.add.reduceat(stay, self.starts) / self.ranks
+            stay = np.abs(np.sum(layout.columns.conj() * (self.unitary @ layout.columns), axis=0)) ** 2
+            self.likelihoods = np.add.reduceat(stay, layout.starts) / layout.ranks
 
 
 class _QuantumCohort:
@@ -343,28 +344,28 @@ class _QuantumCohort:
         agents in order from ``bits``; returns how many drew up."""
         if news.unitary is not None:
             self.states = self.states @ news.unitary.T
-        amplitudes = self.states @ news.basis.conj()
-        weights = np.add.reduceat(np.abs(amplitudes) ** 2, news.starts, axis=1)
+        amplitudes = self.states @ news.layout.columns.conj()
+        weights = np.add.reduceat(np.abs(amplitudes) ** 2, news.layout.starts, axis=1)
         idx = _draw_outcomes(bits, np.cumsum(weights, axis=1), len(self.membership), self.membership)
-        self._collapse(amplitudes, weights, idx, news)
+        self._collapse(amplitudes, weights, idx, news.layout)
         return int(np.count_nonzero(idx < news.ups))
 
-    def _collapse(self, amplitudes: np.ndarray, weights: np.ndarray, idx: np.ndarray, news: _News) -> None:
+    def _collapse(self, amplitudes: np.ndarray, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
         """Project every agent onto its outcome's eigenspace. All agents of a
         rank-1 outcome share its eigenvector's row (a global phase changes no
         later Born weight); a rank > 1 outcome keeps a row per (group, outcome)."""
-        if (news.ranks == 1).all():
-            self.states = news.basis.T
+        if (layout.ranks == 1).all():
+            self.states = layout.columns.T
             self.membership = idx
             return
-        n_outcomes = len(news.ranks)
+        n_outcomes = len(layout.ranks)
         branch = self.membership * n_outcomes + idx
         drawn = np.bincount(branch, minlength=len(self.states) * n_outcomes).reshape(-1, n_outcomes) > 0
         new_row = np.empty(drawn.shape, dtype=np.intp)  # (group, outcome) -> row of the new states
         blocks, count = [], 0
-        for k, (lo, rank) in enumerate(zip(news.starts, news.ranks)):
+        for k, (lo, rank) in enumerate(zip(layout.starts, layout.ranks)):
             if rank == 1:
-                block = news.basis[None, :, lo]
+                block = layout.columns[None, :, lo]
                 new_row[:, k] = count
             else:
                 groups = np.flatnonzero(drawn[:, k])
@@ -372,7 +373,7 @@ class _QuantumCohort:
                     raise ImpossibleOutcomeError(
                         f"cannot collapse onto an outcome of probability {weights[groups, k].min():.3e}"
                     )
-                projected = amplitudes[groups, lo : lo + rank] @ news.basis[:, lo : lo + rank].T
+                projected = amplitudes[groups, lo : lo + rank] @ layout.columns[:, lo : lo + rank].T
                 block = projected / np.linalg.norm(projected, axis=1, keepdims=True)
                 new_row[groups, k] = count + np.arange(len(groups))
             blocks.append(block)
@@ -382,22 +383,21 @@ class _QuantumCohort:
 
 
 class _ClassicalCohort:
-    """Tracks one classical population; all agents share one belief, updated
-    deterministically from the period's news."""
+    """Tracks one classical population; all agents share one belief over the
+    price observable's outcomes (which every period of its Scenario measures),
+    updated deterministically from the period's news."""
 
     def __init__(self, population: AgentPopulation, price_obs: Observable):
         self.count = population.count
-        self.outcomes = np.asarray(price_obs.outcomes)
-        self.ups = sum(o > 0 for o in price_obs.outcomes)
         self.belief = born_weights(population.initial_state.amplitudes, price_obs)
 
     def step(self, news: _News, bits: Philox) -> int:
         """Bayes-update on the news likelihoods, if any, then sample from
         ``bits``; returns how many drew up."""
         if news.likelihoods is not None:
-            self.belief, _ = classical_agent_step(self.belief, news.likelihoods, self.outcomes)
+            self.belief, _ = classical_agent_step(self.belief, news.likelihoods, news.layout.outcomes)
         idx = _draw_outcomes(bits, np.cumsum(self.belief), self.count)
-        return int(np.count_nonzero(idx < self.ups))
+        return int(np.count_nonzero(idx < news.ups))
 
 
 def run_market(scenario: Scenario) -> PricePath:

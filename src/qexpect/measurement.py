@@ -18,7 +18,6 @@ from .hilbert import (
     Projector,
     StateVector,
     inner_product,
-    projector_for,
     propagator,
 )
 
@@ -41,10 +40,10 @@ class OutcomeDistribution:
     def __post_init__(self) -> None:
         entries = tuple((float(o), float(p)) for o, p in self.entries)
         total = sum(p for _, p in entries)
-        if abs(total - 1.0) > INVARIANT_TOL:
+        if not abs(total - 1.0) <= INVARIANT_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         for outcome, p in entries:
-            if p < -1e-12 or p > 1.0 + 1e-12:
+            if not -1e-12 <= p <= 1.0 + 1e-12:
                 raise ValueError(f"probability {p} for outcome {outcome} outside [0, 1]")
         object.__setattr__(self, "entries", entries)
 
@@ -74,7 +73,7 @@ class JointTable:
     def __post_init__(self) -> None:
         rows = tuple((float(a), float(b), float(p)) for a, b, p in self.rows)
         total = sum(p for _, _, p in rows)
-        if abs(total - 1.0) > INVARIANT_TOL:
+        if not abs(total - 1.0) <= INVARIANT_TOL:
             raise ValueError(f"joint probabilities sum to {total}, not 1")
         object.__setattr__(self, "rows", rows)
 
@@ -106,7 +105,7 @@ class InterferenceReport:
     def __post_init__(self) -> None:
         if not -1.0 - 1e-12 <= self.interference <= 1.0 + 1e-12:
             raise ValueError(f"interference {self.interference} outside [-1, 1]")
-        if abs(self.p_direct - (self.p_classical_sum + self.interference)) > 1e-14:
+        if not abs(self.p_direct - (self.p_classical_sum + self.interference)) <= 1e-14:
             raise ValueError("interference report violates its defining identity")
 
 
@@ -125,12 +124,8 @@ def born_weights(amplitudes: np.ndarray, obs: Observable) -> np.ndarray:
     The rows are taken as they are: no dimension check, no renormalization.
     Degenerate eigenvectors are summed in eigenvector order.
     """
-    per_vector = np.abs(amplitudes @ obs.basis.conj()) ** 2
-    column = {outcome: k for k, outcome in enumerate(obs.outcomes)}
-    weights = np.zeros(per_vector.shape[:-1] + (len(column),))
-    for j, lam in enumerate(obs.eigenvalues):
-        weights[..., column[lam]] += per_vector[..., j]
-    return weights
+    layout = obs.layout
+    return np.add.reduceat(np.abs(amplitudes @ layout.columns.conj()) ** 2, layout.starts, axis=-1)
 
 
 def born_distribution(psi: StateVector, obs: Observable) -> OutcomeDistribution:
@@ -216,11 +211,11 @@ def sequential_joint(
     first_dist = born_distribution(psi, first)
     second_outcomes = second.outcomes
     rows: list[tuple[float, float, float]] = []
-    for alpha, p_alpha in first_dist.entries:
+    for (alpha, p_alpha), proj in zip(first_dist.entries, first.layout.projectors):
         if p_alpha < ZERO_BRANCH_TOL:
             rows.extend((alpha, beta, 0.0) for beta in second_outcomes)
             continue
-        conditioned = collapse(psi, projector_for(first, alpha))
+        conditioned = collapse(psi, proj)
         cond_dist = born_distribution(conditioned, second)
         rows.extend((alpha, beta, p_alpha * cond_dist.probability(beta)) for beta in second_outcomes)
     return JointTable(first_id, second_id, tuple(rows))
@@ -253,16 +248,13 @@ def interference_term(
     """
     if psi.dim != target.dim or psi.dim != partition.dim:
         raise ValueError("dimension mismatch between state, target and partition")
-    completeness = sum(
-        (projector_for(partition, o).matrix for o in partition.outcomes),
-        start=np.zeros((partition.dim, partition.dim), dtype=complex),
-    )
+    branches = partition.layout.projectors
+    completeness = sum(branch.matrix for branch in branches)
     if not np.allclose(completeness, np.eye(partition.dim), atol=1e-8):
         raise ValueError("partition projectors do not sum to the identity")
     p_direct = born_probability(psi, target)
     classical_sum = 0.0
-    for outcome in partition.outcomes:
-        branch = projector_for(partition, outcome)
+    for branch in branches:
         p_branch = born_probability(psi, branch)
         if p_branch < ZERO_BRANCH_TOL:
             continue

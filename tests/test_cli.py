@@ -262,6 +262,18 @@ def test_uncertainty_overflow_exits_1(tmp_path, capsys):
     assert "nan" not in err and "RuntimeWarning" not in err
 
 
+def test_classical_population_with_an_override_of_other_outcomes_exits_1(tmp_path, capsys):
+    raw = json.loads((CONFIGS / "market.json").read_text(encoding="utf-8"))
+    raw["observables"]["flat"] = {"angle": 0, "eigenvalues": [1, 1]}
+    raw["scenario"]["news"][0]["observable"] = "flat"
+    bad = tmp_path / "market.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, output = run_cli("simulate-market", str(bad))
+    assert code == 1
+    assert output == ""
+    assert "news[0].observable" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 

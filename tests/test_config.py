@@ -265,7 +265,7 @@ def test_section_lookup_errors():
 # silent non-finite result
 
 _DROP = "<dropped>"
-_MUTATIONS = (float("nan"), float("inf"), float("-inf"), "text", None, [], {}, True, _DROP)
+_MUTATIONS = (float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e300, "text", None, [], {}, True, _DROP)
 _READERS = {
     "basic.json": (["born"], ["evolve", "--t", "-2.5", "--grid", "5"], ["uncertainty"], ["ensemble", "--n", "100"]),
     "tilted.json": (["born"], ["interference"], ["order-effect"], ["uncertainty"]),
@@ -297,8 +297,8 @@ def _mutate(raw, path, value):
 
 @pytest.mark.parametrize("name", sorted(_READERS))
 def test_mutated_configs_give_a_named_error_or_finite_output(name, tmp_path):
-    """Every node of a shipped config, set to NaN, +-Inf, a string, null,
-    [], {} or true, or dropped, must make each command that reads the file
+    """Every node of a shipped config, set to NaN, +-Inf, +-1e308, 1e300, a
+    string, null, [], {} or true, or dropped, must make each command that reads the file
     exit 1 or 2, or exit 0 with no nan/inf on stdout; never raise."""
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     path = tmp_path / name

@@ -14,8 +14,9 @@ from qexpect.hilbert import (
     projector_for,
     propagator,
 )
-from qexpect.measurement import born_distribution
+from qexpect.measurement import born_distribution, born_weights, uncertainty_product
 
+import oracles
 from oracles import random_hermitian, random_state_array, taylor_expm
 
 INVARIANT_TOL = 1e-10
@@ -199,6 +200,49 @@ def test_degenerate_eigenvalue_projector_has_rank_two():
     assert np.trace(proj.matrix).real == pytest.approx(2.0, abs=INVARIANT_TOL)
 
 
+def _reference_born_weights(amplitudes, obs):
+    """Born weights summed through a dict, degenerate columns in eigenvector order."""
+    per_vector = np.abs(amplitudes @ obs.basis.conj()) ** 2
+    column = {outcome: k for k, outcome in enumerate(sorted(set(obs.eigenvalues), reverse=True))}
+    weights = np.zeros(per_vector.shape[:-1] + (len(column),))
+    for j, lam in enumerate(obs.eigenvalues):
+        weights[..., column[lam]] += per_vector[..., j]
+    return weights
+
+
+def _reference_projector(obs, outcome):
+    """Projector from the eigenvectors that a mask on the eigenvalues selects."""
+    basis = obs.basis[:, np.asarray(obs.eigenvalues) == outcome]
+    return basis @ basis.conj().T
+
+
+@pytest.mark.parametrize("values", [[1.0, 1.0, -1.0], [1.0, -1.0, 1.0]], ids=["adjacent", "split"])
+def test_layout_is_bitwise_equal_to_the_mask_and_dict_sum_formulas(values):
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        obs = make_observable(oracles.random_unitary(rng, 3).T, values)
+        assert obs.outcomes == (1.0, -1.0)
+        for outcome in obs.outcomes:
+            assert np.array_equal(projector_for(obs, outcome).matrix, _reference_projector(obs, outcome))
+        batch = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        for amplitudes in (batch, batch[0]):
+            assert np.array_equal(born_weights(amplitudes, obs), _reference_born_weights(amplitudes, obs))
+
+
+def test_projector_for_returns_the_layout_projector():
+    obs = make_observable(np.eye(3), [1.0, -1.0, 1.0])
+    assert projector_for(obs, 1.0) is projector_for(obs, 1.0)
+    assert projector_for(obs, -1.0) is obs.layout.projectors[1]
+
+
+def test_layout_is_built_only_when_measured():
+    a = make_observable(np.eye(2), [1.0, -1.0])
+    b = make_observable(rotated_basis(0.3), [1.0, -1.0])
+    uncertainty_product(StateVector([0.6, 0.8]), a, b)
+    assert "layout" not in a.__dict__ and "layout" not in b.__dict__
+    assert a.outcomes == (1.0, -1.0) and "layout" in a.__dict__
+
+
 def test_unknown_outcome_rejected(price):
     with pytest.raises(ValueError, match="outcome"):
         projector_for(price, 0.5)
@@ -293,6 +337,14 @@ def test_propagator_over_a_time_grid_stacks_the_scalar_calls():
         assert propagator(ham, 0.7).shape == (d, d)
         for u, t in zip(stack, times):
             assert np.abs(u - propagator(ham, float(t))).max() < 1e-14
+
+
+def test_propagator_rejects_a_phase_that_overflows():
+    ham = Hamiltonian([[1e308, 0.0], [0.0, -1e308]])
+    with pytest.raises(ValueError, match="propagator phase"):
+        propagator(ham, 2.0)
+    with pytest.raises(ValueError, match="propagator phase"):
+        evolve(StateVector([1, 0]), Hamiltonian(np.diag([1e300, 0.0])), 1e10)
 
 
 def test_non_hermitian_hamiltonian_rejected():

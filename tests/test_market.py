@@ -541,6 +541,15 @@ def test_scenario_rejects_non_updown_outcomes():
         scenario(price_observable=weird)
 
 
+def test_classical_population_rejects_an_override_of_other_outcomes():
+    flat = make_observable(np.eye(2), [1.0, 1.0])
+    news = NewsSchedule((NewsEvent(RABI, 0.4), NewsEvent(RABI, 0.4, flat)))
+    with pytest.raises(ValueError, match=r"news\[1\]\.observable"):
+        scenario(populations=(AgentPopulation(5, PLUS, "classical"),), news=news)
+    # a quantum population measures whatever basis the news names
+    assert len(run_market(scenario(news=news)).periods) == 3
+
+
 def test_scenario_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         scenario(populations=(AgentPopulation(5, StateVector([1, 0, 0]), "quantum"),))

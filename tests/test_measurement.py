@@ -4,9 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qexpect.hilbert import Hamiltonian, StateVector, commutator_norm, evolve, make_observable, projector_for
+from qexpect.classical import ClassicalConditionalModel, bayes_update, classical_agent_step
+from qexpect.market import PeriodRecord
 from qexpect.measurement import (
     ImpossibleOutcomeError,
     InterferenceReport,
+    JointTable,
+    OutcomeDistribution,
     born_distribution,
     born_probability,
     born_weights,
@@ -334,6 +338,10 @@ def test_qq_equality(seed, d, data):
     a = _binary_observable(rng, d, data.draw(st.integers(1, d - 1)))
     b = _binary_observable(rng, d, data.draw(st.integers(1, d - 1)))
     psi = StateVector(oracles.random_state_array(rng, d))
+    for obs in (a, b):
+        layout = obs.layout
+        assert np.abs(sum(p.matrix for p in layout.projectors) - np.eye(d)).max() < TOL
+        assert [p.rank for p in layout.projectors] == [obs.eigenvalues.count(o) for o in layout.outcomes]
     ab, ba = sequential_joint(psi, a, b), sequential_joint(psi, b, a)
     lhs = ab.probability(1.0, -1.0) + ab.probability(-1.0, 1.0)
     rhs = ba.probability(1.0, -1.0) + ba.probability(-1.0, 1.0)
@@ -444,6 +452,37 @@ def test_interference_matches_chained_projector_oracle():
 def test_interference_report_rejects_broken_identity():
     with pytest.raises(ValueError):
         InterferenceReport(0.9, 0.3, 0.2)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OutcomeDistribution(((1, NAN), (-1, NAN))),
+        lambda: OutcomeDistribution(((1, 1.0), (-1, NAN))),
+        lambda: JointTable("a", "b", ((1, 1, NAN),)),
+        lambda: InterferenceReport(NAN, NAN, 0.0),
+        lambda: PeriodRecord(100, NAN, NAN),
+        lambda: PeriodRecord(100, 0.5, NAN),
+        lambda: ClassicalConditionalModel((NAN,), (0.5,)),
+        lambda: ClassicalConditionalModel((0.5, 0.5), (NAN, 0.5)),
+        lambda: bayes_update([NAN, NAN], [0.5, 0.5]),
+        lambda: bayes_update([0.5, 0.5], [NAN, 0.5]),
+        lambda: classical_agent_step([NAN, NAN], [0.5, 0.5]),
+        lambda: classical_agent_step([0.5, 0.5], [0.5, NAN]),
+        lambda: classical_agent_step([0.5, 0.5], [0.5, 0.5], [1.0, NAN]),
+    ],
+    ids=[
+        "distribution", "distribution_one_entry", "joint_table", "interference_report",
+        "period_record", "period_record_down", "partition", "conditional",
+        "bayes_prior", "bayes_likelihood", "agent_belief", "agent_likelihood", "agent_outcome",
+    ],
+)
+def test_public_constructors_fail_closed_on_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ---------------------------------------------------------------------------
