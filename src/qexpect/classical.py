@@ -66,6 +66,8 @@ def bayes_update(prior: Sequence[float], likelihoods: Sequence[float]) -> np.nda
         raise ValueError(f"prior shape {prior_arr.shape} vs likelihoods {like_arr.shape}")
     if not abs(prior_arr.sum() - 1.0) <= PARTITION_TOL:
         raise ValueError(f"prior sums to {prior_arr.sum()}, not 1")
+    if not np.all((prior_arr >= -1e-12) & (prior_arr <= 1.0 + 1e-12)):
+        raise ValueError("prior entries must lie in [0, 1]")
     if not np.all((like_arr >= -1e-12) & (like_arr <= 1.0 + 1e-12)):
         raise ValueError("likelihoods must lie in [0, 1]")
     joint = prior_arr * like_arr

@@ -227,19 +227,7 @@ def _cmd_simulate_market(args, out) -> int:
             config=scenario_to_dict(scenario),
             seed=scenario.seed,
             version=__version__,
-            results={
-                "price_path": {
-                    "initial_price": path.initial_price,
-                    "periods": [
-                        {
-                            "price": r.price,
-                            "up_fraction": r.up_fraction,
-                            "down_fraction": r.down_fraction,
-                        }
-                        for r in path.periods
-                    ],
-                }
-            },
+            results={"price_path": dataclasses.asdict(path)},
             duration_seconds=duration,
         )
         with open(opts.report, "w", encoding="utf-8", newline="") as handle:

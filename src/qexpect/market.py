@@ -11,6 +11,7 @@ grouped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,6 +99,8 @@ class PeriodRecord:
     def __post_init__(self) -> None:
         if not abs(self.up_fraction + self.down_fraction - 1.0) <= 1e-12:
             raise ValueError("up and down fractions must sum to 1")
+        if not (-1e-12 <= self.up_fraction <= 1.0 + 1e-12 and -1e-12 <= self.down_fraction <= 1.0 + 1e-12):
+            raise ValueError(f"up and down fractions {self.up_fraction}, {self.down_fraction} must lie in [0, 1]")
         if not (self.price > 0 and math.isfinite(self.price)):
             raise ValueError(f"price must be positive and finite, got {self.price}")
 
@@ -147,7 +150,7 @@ class Scenario:
                     f"population state dimension {pop.initial_state.dim} does not match "
                     f"price observable dimension {d}"
                 )
-        for obs in self._all_observables():
+        for obs in [self.price_observable, *(e.observable for e in self.news.events if e.observable is not None)]:
             if set(obs.outcomes) - {1.0, -1.0}:
                 raise ValueError(
                     "price observables must use outcomes +1 (up) and -1 (down), "
@@ -162,11 +165,6 @@ class Scenario:
                     f"news[{i}].observable: outcomes {obs.outcomes} differ from the price "
                     f"observable's {self.price_observable.outcomes}, which classical beliefs are over"
                 )
-
-    def _all_observables(self) -> list[Observable]:
-        seen = [self.price_observable]
-        seen.extend(e.observable for e in self.news.events if e.observable is not None)
-        return seen
 
     @property
     def total_agents(self) -> int:
@@ -261,11 +259,7 @@ def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> Out
     dist = born_distribution(population.initial_state, obs)
     idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count)
     counts = np.bincount(idx, minlength=len(dist.entries))
-    entries = tuple(
-        (outcome, count / population.count)
-        for (outcome, _), count in zip(dist.entries, counts)
-    )
-    return OutcomeDistribution(entries)
+    return OutcomeDistribution(tuple(zip(dist.outcomes, counts / population.count)))
 
 
 def run_sequential_ensemble(
@@ -277,6 +271,8 @@ def run_sequential_ensemble(
 ) -> JointTable:
     """Empirical joint table: every agent measures one observable, collapses,
     then measures the other; ``order`` picks which comes first ("ij" or "ji").
+    The two measurements draw from the streams keyed by ``(seed, 0)`` and
+    ``(seed, 1)``.
 
     Converges to :func:`qexpect.measurement.sequential_joint` of the first
     and second observables.
@@ -287,26 +283,15 @@ def run_sequential_ensemble(
         raise ValueError(f"order must be 'ij' or 'ji', got {order!r}")
     first, second = (obs_i, obs_j) if order == "ij" else (obs_j, obs_i)
     psi = population.initial_state
-    n = population.count
-
-    first_dist = born_distribution(psi, first)
-    first_outcomes, second_outcomes = first_dist.outcomes, second.outcomes
-    k1, k2 = len(first_outcomes), len(second_outcomes)
-    idx1 = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(first_dist), n)
-    drawn = np.bincount(idx1, minlength=k1) > 0
-    # an undrawn first outcome may be impossible, so nothing collapses onto it
-    conditional = [
-        _cumulative(born_distribution(collapse(psi, proj), second)) if drawn[g] else np.ones(k2)
-        for g, proj in enumerate(first.layout.projectors)
-    ]
-    idx2 = _draw_outcomes(Philox(key=_period_key(seed, 1)), np.vstack(conditional), n, idx1)
-    counts = np.bincount(idx1 * k2 + idx2, minlength=k1 * k2).reshape(k1, k2)
-    rows = tuple(
-        (alpha, beta, counts[g, h] / n)
-        for g, alpha in enumerate(first_outcomes)
-        for h, beta in enumerate(second_outcomes)
-    )
-    return JointTable("first", "second", rows)
+    if psi.dim != first.dim or psi.dim != second.dim:
+        raise ValueError(f"dimension mismatch: state {psi.dim} vs observables {first.dim} and {second.dim}")
+    cohort = _QuantumCohort(population)
+    idx1 = cohort.measure(first.layout, Philox(key=_period_key(seed, 0)))
+    idx2 = cohort.measure(second.layout, Philox(key=_period_key(seed, 1)))
+    k2 = len(second.outcomes)
+    counts = np.bincount(idx1 * k2 + idx2, minlength=len(first.outcomes) * k2)  # row-major (alpha, beta)
+    pairs = itertools.product(first.outcomes, second.outcomes)
+    return JointTable("first", "second", tuple((a, b, n / population.count) for (a, b), n in zip(pairs, counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +324,20 @@ class _QuantumCohort:
         self.states = population.initial_state.amplitudes[None, :]
         self.membership = np.zeros(population.count, dtype=np.intp)
 
-    def step(self, news: _News, bits: Philox) -> int:
-        """Evolve, sample and collapse every agent, drawing the cohort's
-        agents in order from ``bits``; returns how many drew up."""
+    def step(self, news: _News, bits: Philox) -> np.ndarray:
+        """Evolve every agent under the news, then :meth:`measure` it."""
         if news.unitary is not None:
             self.states = self.states @ news.unitary.T
-        amplitudes = self.states @ news.layout.columns.conj()
-        weights = np.add.reduceat(np.abs(amplitudes) ** 2, news.layout.starts, axis=1)
+        return self.measure(news.layout, bits)
+
+    def measure(self, layout: SpectralLayout, bits: Philox) -> np.ndarray:
+        """Sample and collapse every agent, drawing the cohort's agents in
+        order from ``bits``; returns each agent's outcome index."""
+        amplitudes = self.states @ layout.columns.conj()
+        weights = np.add.reduceat(np.abs(amplitudes) ** 2, layout.starts, axis=1)
         idx = _draw_outcomes(bits, np.cumsum(weights, axis=1), len(self.membership), self.membership)
-        self._collapse(amplitudes, weights, idx, news.layout)
-        return int(np.count_nonzero(idx < news.ups))
+        self._collapse(amplitudes, weights, idx, layout)
+        return idx
 
     def _collapse(self, amplitudes: np.ndarray, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
         """Project every agent onto its outcome's eigenspace. All agents of a
@@ -391,13 +380,12 @@ class _ClassicalCohort:
         self.count = population.count
         self.belief = born_weights(population.initial_state.amplitudes, price_obs)
 
-    def step(self, news: _News, bits: Philox) -> int:
+    def step(self, news: _News, bits: Philox) -> np.ndarray:
         """Bayes-update on the news likelihoods, if any, then sample from
-        ``bits``; returns how many drew up."""
+        ``bits``; returns each agent's outcome index."""
         if news.likelihoods is not None:
             self.belief, _ = classical_agent_step(self.belief, news.likelihoods, news.layout.outcomes)
-        idx = _draw_outcomes(bits, np.cumsum(self.belief), self.count)
-        return int(np.count_nonzero(idx < news.ups))
+        return _draw_outcomes(bits, np.cumsum(self.belief), self.count)
 
 
 def run_market(scenario: Scenario) -> PricePath:
@@ -427,7 +415,7 @@ def run_market(scenario: Scenario) -> PricePath:
         news = schedule[period % len(schedule)]
         # cohorts hold contiguous agent ranges, so they read one stream in turn
         bits = Philox(key=_period_key(scenario.seed, period))
-        ups = sum(cohort.step(news, bits) for cohort in cohorts)
+        ups = sum(int(np.count_nonzero(cohort.step(news, bits) < news.ups)) for cohort in cohorts)
         f_up = ups / total
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))

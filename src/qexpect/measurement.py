@@ -6,6 +6,7 @@ Pure functions over the immutable types from :mod:`qexpect.hilbert`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,8 +22,8 @@ from .hilbert import (
     propagator,
 )
 
-# Outcomes with Born weight below this are treated as impossible: no collapse
-# is attempted and sequential branches contribute zero probability.
+# Outcomes with Born weight below this are treated as impossible: nothing
+# collapses onto them.
 ZERO_BRANCH_TOL = 1e-12
 
 
@@ -43,6 +44,8 @@ class OutcomeDistribution:
         if not abs(total - 1.0) <= INVARIANT_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         for outcome, p in entries:
+            if not math.isfinite(outcome):
+                raise ValueError(f"outcome label {outcome} is not finite")
             if not -1e-12 <= p <= 1.0 + 1e-12:
                 raise ValueError(f"probability {p} for outcome {outcome} outside [0, 1]")
         object.__setattr__(self, "entries", entries)
@@ -75,6 +78,11 @@ class JointTable:
         total = sum(p for _, _, p in rows)
         if not abs(total - 1.0) <= INVARIANT_TOL:
             raise ValueError(f"joint probabilities sum to {total}, not 1")
+        for a, b, p in rows:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"outcome labels ({a}, {b}) are not finite")
+            if not -1e-12 <= p <= 1.0 + 1e-12:
+                raise ValueError(f"probability {p} for pair ({a}, {b}) outside [0, 1]")
         object.__setattr__(self, "rows", rows)
 
     def probability(self, alpha: float, beta: float) -> float:
@@ -193,6 +201,12 @@ def transition_probability(from_eigvec: StateVector, to_eigvec: StateVector) -> 
     return abs(inner_product(from_eigvec, to_eigvec)) ** 2
 
 
+def _branches(psi: StateVector, obs: Observable) -> np.ndarray:
+    """The unnormalized branches ``P_k psi`` as the rows of a ``(K, d)`` array,
+    one per outcome of ``obs`` in descending order."""
+    return np.stack([proj.matrix for proj in obs.layout.projectors]) @ psi.amplitudes
+
+
 def sequential_joint(
     psi: StateVector,
     first: Observable,
@@ -201,24 +215,16 @@ def sequential_joint(
     second_id: str = "second",
 ) -> JointTable:
     """Joint distribution of measuring ``first`` then ``second`` with collapse
-    between: ``p(alpha, beta) = p(alpha) * p(beta | collapsed on alpha)``.
+    between, by the Lüders rule ``p(alpha, beta) = ||P_beta P_alpha psi||^2``.
 
-    First outcomes of probability below 1e-12 contribute zero rows and no
-    collapse is attempted for them.
+    No branch is skipped: a first outcome of weight ``w`` contributes at most
+    ``w`` to its row, and a row of weight 0 is all zeros.
     """
     if psi.dim != first.dim or psi.dim != second.dim:
         raise ValueError("dimension mismatch between state and observables")
-    first_dist = born_distribution(psi, first)
-    second_outcomes = second.outcomes
-    rows: list[tuple[float, float, float]] = []
-    for (alpha, p_alpha), proj in zip(first_dist.entries, first.layout.projectors):
-        if p_alpha < ZERO_BRANCH_TOL:
-            rows.extend((alpha, beta, 0.0) for beta in second_outcomes)
-            continue
-        conditioned = collapse(psi, proj)
-        cond_dist = born_distribution(conditioned, second)
-        rows.extend((alpha, beta, p_alpha * cond_dist.probability(beta)) for beta in second_outcomes)
-    return JointTable(first_id, second_id, tuple(rows))
+    table = born_weights(_branches(psi, first), second)  # (K1, K2), row-major (alpha, beta)
+    pairs = itertools.product(first.outcomes, second.outcomes)
+    return JointTable(first_id, second_id, tuple((a, b, p) for (a, b), p in zip(pairs, table.ravel())))
 
 
 def order_effect_from_tables(table_ij: JointTable, table_ji: JointTable) -> float:
@@ -240,25 +246,18 @@ def order_effect(psi: StateVector, obs_i: Observable, obs_j: Observable) -> floa
 def interference_term(
     psi: StateVector, target: Projector, partition: Observable
 ) -> InterferenceReport:
-    """Deviation of the direct outcome probability from the classical
-    total-probability sum over a measured partition.
-
-    The classical sum conditions on each partition outcome (skipping branches
-    of probability below 1e-12); the interference can be negative or positive.
+    """Deviation of the direct outcome probability ``||T psi||^2`` from the
+    classical total-probability sum over a measured partition, which by the
+    Lüders rule is ``sum_k ||T P_k psi||^2``; the interference can be negative
+    or positive.
     """
     if psi.dim != target.dim or psi.dim != partition.dim:
         raise ValueError("dimension mismatch between state, target and partition")
-    branches = partition.layout.projectors
-    completeness = sum(branch.matrix for branch in branches)
+    completeness = sum(branch.matrix for branch in partition.layout.projectors)
     if not np.allclose(completeness, np.eye(partition.dim), atol=1e-8):
         raise ValueError("partition projectors do not sum to the identity")
     p_direct = born_probability(psi, target)
-    classical_sum = 0.0
-    for branch in branches:
-        p_branch = born_probability(psi, branch)
-        if p_branch < ZERO_BRANCH_TOL:
-            continue
-        classical_sum += p_branch * born_probability(collapse(psi, branch), target)
+    classical_sum = float(np.sum(np.abs(_branches(psi, partition) @ target.matrix.T) ** 2))
     return InterferenceReport(p_direct, classical_sum, p_direct - classical_sum)
 
 

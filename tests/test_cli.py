@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -301,6 +302,27 @@ def test_simulate_market_stdout_csv():
     assert lines[0] == "period,price,up_fraction,down_fraction"
     assert lines[1].startswith("0,100.000000000000,,")
     assert len(lines) == 8
+
+
+SEED_42_CSV = """\
+period,price,up_fraction,down_fraction
+0,100.000000000000,,
+1,99.670909090909,0.467090909091,0.532909090909
+2,99.261352264463,0.458909090909,0.541090909091
+3,98.792116781031,0.452727272727,0.547272727273
+4,98.323303281397,0.452545454545,0.547454545455
+5,97.912133104039,0.458181818182,0.541818181818
+6,97.570330748475,0.465090909091,0.534909090909
+"""
+
+
+def test_simulate_market_seed_42_output_is_frozen():
+    """The determinism contract across commits: market bits change only on
+    purpose (a new draw layout), and then this CSV changes with them."""
+    code, output = run_cli("simulate-market", str(CONFIGS / "market.json"), "--seed", "42")
+    assert code == 0
+    assert output == SEED_42_CSV
+    assert hashlib.sha256(output.encode()).hexdigest().startswith("ebd2f2a3f347cf8a")
 
 
 def test_simulate_market_seed_override_changes_path():

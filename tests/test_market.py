@@ -202,6 +202,29 @@ def test_bad_order_string_rejected():
         run_sequential_ensemble(AgentPopulation(5, PLUS, "quantum"), PRICE, TILTED, "xy", 0)
 
 
+def test_sequential_ensemble_frozen_table_through_a_rank_2_collapse():
+    """Pins the draws of both measurements across commits. Each order's
+    first observable has a rank-2 outcome, so agents collapse onto a plane
+    rather than onto an eigenvector."""
+    c, s, h = np.cos(0.4), np.sin(0.4), 1 / np.sqrt(2)
+    first = make_observable([[c, s, 0], [-s, c, 0], [0, 0, 1]], [1.0, 1.0, -1.0])
+    second = make_observable([[h, 0, h], [0, 1, 0], [h, 0, -h]], [1.0, -1.0, -1.0])
+    pop = AgentPopulation(3000, StateVector([0.6, 0.48j, 0.64]), "quantum")
+    frozen = {"ij": (550, 1259, 597, 594), "ji": (1215, 1140, 645, 0)}
+    for order, counts in frozen.items():
+        table = run_sequential_ensemble(pop, first, second, order, 23)
+        pairs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+        assert table.rows == tuple((a, b, n / 3000) for (a, b), n in zip(pairs, counts))
+
+
+def test_sequential_ensemble_names_a_dimension_mismatch():
+    three = make_observable(np.eye(3), [1.0, -1.0, -1.0])
+    pop = AgentPopulation(5, PLUS, "quantum")
+    for obs_i, obs_j in ((three, PRICE), (PRICE, three)):
+        with pytest.raises(ValueError, match="dimension mismatch: state 2"):
+            run_sequential_ensemble(pop, obs_i, obs_j, "ij", 0)
+
+
 # ---------------------------------------------------------------------------
 # run_market
 

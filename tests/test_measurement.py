@@ -320,6 +320,28 @@ def test_sequential_joint_matches_chained_projector_oracle():
                 assert table.probability(alpha, beta) == pytest.approx(
                     expected[i, j], abs=1e-12
                 )
+    for d in (3, 4) * 50:
+        psi_arr = oracles.random_state_array(rng, d)
+        first, first_projs = _degenerate_observable(rng, d)
+        second, second_projs = _degenerate_observable(rng, d)
+        table = sequential_joint(StateVector(psi_arr), first, second)
+        expected = oracles.sequential_table(psi_arr, list(first_projs.values()), list(second_projs.values()))
+        for i, alpha in enumerate(first_projs):
+            for j, beta in enumerate(second_projs):
+                assert table.probability(alpha, beta) == pytest.approx(expected[i, j], abs=1e-12)
+
+
+def _degenerate_observable(rng, d):
+    """Random basis with a repeated eigenvalue, and the oracle's projector for
+    each distinct outcome: the sum of its eigenvectors' rank-1 projectors."""
+    basis = oracles.random_unitary(rng, d)
+    repeats = int(rng.integers(2, d + 1))
+    values = rng.permutation([0.5] * repeats + list(rng.normal(size=d - repeats)))
+    projs = {
+        float(v): sum(oracles.rank1_projector(basis[:, k]) for k in range(d) if values[k] == v)
+        for v in sorted(set(values), reverse=True)
+    }
+    return make_observable(basis.T, values), projs
 
 
 def _binary_observable(rng, d, ups):
@@ -447,6 +469,16 @@ def test_interference_matches_chained_projector_oracle():
         assert report.p_direct == pytest.approx(direct, abs=1e-12)
         assert report.p_classical_sum == pytest.approx(classical, abs=1e-12)
         assert report.interference == pytest.approx(diff, abs=1e-12)
+    for d in (3, 4) * 50:
+        psi_arr = oracles.random_state_array(rng, d)
+        target_obs, target_projs = _degenerate_observable(rng, d)
+        partition, partition_projs = _degenerate_observable(rng, d)
+        outcome = target_obs.outcomes[int(rng.integers(len(target_projs)))]
+        report = interference_term(StateVector(psi_arr), projector_for(target_obs, outcome), partition)
+        direct, classical, diff = oracles.interference(psi_arr, target_projs[outcome], list(partition_projs.values()))
+        assert report.p_direct == pytest.approx(direct, abs=1e-12)
+        assert report.p_classical_sum == pytest.approx(classical, abs=1e-12)
+        assert report.interference == pytest.approx(diff, abs=1e-12)
 
 
 def test_interference_report_rejects_broken_identity():
@@ -481,6 +513,31 @@ NAN = float("nan")
     ],
 )
 def test_public_constructors_fail_closed_on_nan(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OutcomeDistribution(((NAN, 1.0),)),
+        lambda: OutcomeDistribution(((float("inf"), 1.0),)),
+        lambda: OutcomeDistribution(((1, 1.5), (-1, -0.5))),
+        lambda: JointTable("a", "b", ((1, 1, 2.0), (1, -1, -1.0))),
+        lambda: JointTable("a", "b", ((NAN, 1, 1.0),)),
+        lambda: PeriodRecord(100, 2.0, -1.0),
+        lambda: PeriodRecord(100, -1.0, 2.0),
+        lambda: bayes_update([1.5, -0.5], [0.5, 0.5]),
+        lambda: classical_agent_step([1.5, -0.5], [0.5, 0.5]),
+    ],
+    ids=[
+        "nan_outcome", "inf_outcome", "distribution", "joint_table", "joint_nan_outcome",
+        "period_record_up", "period_record_down", "bayes_prior", "agent_belief",
+    ],
+)
+def test_public_constructors_fail_closed_out_of_range(build):
+    """Each probability lies in [0, 1] and each outcome label is finite,
+    even when the entries sum to 1."""
     with pytest.raises(ValueError):
         build()
 
