@@ -265,6 +265,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except (ConfigValidationError, ValueError) as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"validation error: request too large: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

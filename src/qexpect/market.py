@@ -3,10 +3,11 @@ per-period news, sample a price-expectation observable, and their aggregate
 up/down fractions drive a multiplicative price path.
 
 Determinism contract: every random draw is a pure function of
-``(scenario seed, agent index, period)``. Agent ``i``'s stream for period
-``t`` is the ``i``-th block of a Philox stream keyed by ``(seed, t)``, so
-results are bit-identical across runs and do not depend on how agents are
-grouped.
+``(scenario seed, agent index, period)``. In period ``t`` market agent ``i``
+keeps word ``i`` of the Philox stream keyed by ``(seed, t)`` (word ``i mod 4``
+of block ``i // 4``), so results are bit-identical across runs and do not
+depend on how agents are grouped. :func:`run_ensemble` keeps word 0 of
+block ``i`` instead.
 """
 
 from __future__ import annotations
@@ -130,9 +131,7 @@ class Scenario:
     periods: int
 
     def __post_init__(self) -> None:
-        if int(self.seed) != self.seed or not 0 <= self.seed < _MAX_SEED:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         object.__setattr__(self, "populations", tuple(self.populations))
         if not self.populations:
             raise ValueError("scenario needs at least one population")
@@ -175,23 +174,43 @@ class Scenario:
 # Seeded stream derivation
 
 
+def _checked_seed(seed) -> int:
+    if int(seed) != seed or not 0 <= seed < _MAX_SEED:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return int(seed)
+
+
 def _period_key(seed: int, period: int) -> np.ndarray:
-    return SeedSequence([int(seed), int(period)]).generate_state(2, np.uint64)
+    return SeedSequence([_checked_seed(seed), int(period)]).generate_state(2, np.uint64)
 
 
 def agent_stream(seed: int, agent_index: int, period: int) -> Generator:
-    """The derived random stream of one agent in one period.
+    """:func:`run_ensemble`'s random stream of one agent in one period.
 
     Its first variate is word 0 of block ``agent_index`` of the Philox stream
-    keyed by ``(seed, period)``: the draw that :func:`run_market` reads for
-    that agent.
+    keyed by ``(seed, period)``: the draw that :func:`run_ensemble` reads for
+    that agent. The market's draw is :func:`market_stream`'s.
     """
     bits = Philox(key=_period_key(seed, period))
     bits.advance(int(agent_index))
     return Generator(bits)
 
 
-# Agents drawn per read of a Philox stream: 4 words each, 512 KiB a chunk.
+def market_stream(seed: int, agent_index: int, period: int) -> Generator:
+    """The market's random stream of one agent in one period.
+
+    Its first variate is word ``agent_index`` of the Philox stream keyed by
+    ``(seed, period)`` (word ``agent_index % 4`` of block ``agent_index // 4``):
+    the draw that :func:`run_market` and :func:`run_sequential_ensemble` read
+    for that agent.
+    """
+    bits = Philox(key=_period_key(seed, period))
+    bits.advance(int(agent_index) // 4)
+    bits.random_raw(int(agent_index) % 4)
+    return Generator(bits)
+
+
+# Agents drawn per read of a Philox stream: 1 word each, 128 KiB a chunk.
 _CHUNK = 16384
 
 
@@ -213,15 +232,18 @@ def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarr
     return idx
 
 
-def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None) -> np.ndarray:
+def _draw_outcomes(
+    bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None, words_per_agent: int = 1
+) -> np.ndarray:
     """Outcome index of each of the next ``count`` agents on ``bits``: an agent
-    keeps word 0 of its Philox block as ``k = w >> 11``. Blocks are read
+    reads ``words_per_agent`` words (4, a whole block, for :func:`run_ensemble`
+    alone) and keeps the first, ``w``, as ``k = w >> 11``. Words are read
     ``_CHUNK`` agents at a time and decided while they are still in cache."""
     thresholds = _thresholds(cumulative)
     idx = np.empty(count, dtype=np.intp)
     for lo in range(0, count, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
-        draws = bits.random_raw(4 * min(_CHUNK, count - lo))[::4] >> 11
+        draws = bits.random_raw(words_per_agent * min(_CHUNK, count - lo))[::words_per_agent] >> 11
         idx[chunk] = _inverse_cdf(thresholds, draws, None if membership is None else membership[chunk])
     return idx
 
@@ -257,7 +279,7 @@ def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> Out
             "the classical_agent_step pipeline"
         )
     dist = born_distribution(population.initial_state, obs)
-    idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count)
+    idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count, words_per_agent=4)
     counts = np.bincount(idx, minlength=len(dist.entries))
     return OutcomeDistribution(tuple(zip(dist.outcomes, counts / population.count)))
 
@@ -272,7 +294,8 @@ def run_sequential_ensemble(
     """Empirical joint table: every agent measures one observable, collapses,
     then measures the other; ``order`` picks which comes first ("ij" or "ji").
     The two measurements draw from the streams keyed by ``(seed, 0)`` and
-    ``(seed, 1)``.
+    ``(seed, 1)``, agent ``i`` on word ``i`` as in the market
+    (:func:`market_stream`).
 
     Converges to :func:`qexpect.measurement.sequential_joint` of the first
     and second observables.

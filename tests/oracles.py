@@ -2,12 +2,13 @@
 paths: everything here works on raw numpy arrays via explicit dense matrix
 arithmetic (chained projector products, Taylor-series exponentials), except
 the reference market, which steps each agent alone through the library's
-single-state operations."""
+single-state operations. The mean-field market reads a Scenario's raw
+arrays and uses nothing of ``qexpect.market`` but that data."""
 
 import numpy as np
 
 from qexpect.hilbert import evolve
-from qexpect.market import agent_stream, sample_measurement
+from qexpect.market import market_stream, sample_measurement
 
 
 def taylor_expm(matrix: np.ndarray) -> np.ndarray:
@@ -105,7 +106,7 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def reference_market(scenario) -> list[tuple[float, float, float]]:
     """``(price, up_fraction, down_fraction)`` per period of a market of
     quantum agents, each stepped alone: ``evolve`` its own state, then
-    ``sample_measurement`` with its own ``agent_stream(seed, i, period)``.
+    ``sample_measurement`` with its own ``market_stream(seed, i, period)``.
     No state is shared between agents, so nothing depends on how a market
     groups them."""
     if any(pop.kind != "quantum" for pop in scenario.populations):
@@ -122,10 +123,69 @@ def reference_market(scenario) -> list[tuple[float, float, float]]:
         for i, psi in enumerate(states):
             if event is not None:
                 psi = evolve(psi, event.hamiltonian, event.duration)
-            outcome, states[i] = sample_measurement(psi, obs, agent_stream(scenario.seed, i, period))
+            outcome, states[i] = sample_measurement(psi, obs, market_stream(scenario.seed, i, period))
             ups += outcome > 0
         f_up = ups / len(states)
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))
         rows.append((price, f_up, f_down))
     return rows
+
+
+def eigenspaces(obs) -> list[tuple[float, np.ndarray]]:
+    """``(outcome, eigenvectors as columns)`` per distinct eigenvalue, in
+    descending outcome order."""
+    values = np.asarray(obs.eigenvalues, dtype=float)
+    return [(v, np.asarray(obs.basis)[:, values == v]) for v in sorted(set(values.tolist()), reverse=True)]
+
+
+def mean_field_moments(scenario) -> list[tuple[float, float]]:
+    """Per period, the mean and variance of the market's up count when every
+    agent draws independently.
+
+    A quantum agent's marginal state is a density matrix: news maps it to
+    ``U rho U^H`` and averaging the Lueders collapse over outcomes maps it to
+    ``sum_k P_k rho P_k``, with ``P_k`` the sum of its eigenvectors' rank-1
+    projectors. A classical cohort shares one belief over the price outcomes,
+    Bayes-updated on each outcome's stay probability ``|<e|U|e>|^2`` averaged
+    over its eigenvectors. Either way a cohort's agents are Bernoulli on its
+    up probability ``p``, so its up count has variance ``n p (1 - p)``.
+    """
+
+    def projector(columns):
+        return sum(rank1_projector(e) for e in columns.T)
+
+    cohorts = []
+    for pop in scenario.populations:
+        psi = np.asarray(pop.initial_state.amplitudes, dtype=complex)
+        if pop.kind == "quantum":
+            cohorts.append(["quantum", pop.count, np.outer(psi, psi.conj())])
+        else:
+            prior = [chained_probability(psi, projector(cols)) for _, cols in eigenspaces(scenario.price_observable)]
+            cohorts.append(["classical", pop.count, np.array(prior)])
+    moments = []
+    for period in range(scenario.periods):
+        event = scenario.news.event_for(period)
+        obs = scenario.price_observable if event is None or event.observable is None else event.observable
+        spaces = [(o, projector(cols), cols) for o, cols in eigenspaces(obs)]
+        unitary = None if event is None else taylor_expm(-1j * event.hamiltonian.matrix * event.duration)
+        mean = var = 0.0
+        for cohort in cohorts:
+            kind, count, state = cohort
+            if kind == "quantum":
+                if unitary is not None:
+                    state = unitary @ state @ unitary.conj().T
+                p_up = sum(float(np.real(np.trace(p @ state))) for o, p, _ in spaces if o > 0)
+                cohort[2] = sum(p @ state @ p for _, p, _ in spaces)
+            else:
+                if unitary is not None:
+                    stay = np.array(
+                        [np.mean([chained_probability(unitary @ e, rank1_projector(e)) for e in cols.T]) for _, _, cols in spaces]
+                    )
+                    state = cohort[2] = state * stay / np.sum(state * stay)
+                p_up = sum(b for b, (o, _, _) in zip(state, spaces) if o > 0)
+            p_up = min(max(p_up, 0.0), 1.0)
+            mean += count * p_up
+            var += count * p_up * (1.0 - p_up)
+        moments.append((mean, var))
+    return moments

@@ -291,6 +291,33 @@ def test_ensemble_output_is_reproducible():
     assert abs(float(up[1]) - float(up[2])) < 0.01
 
 
+@pytest.mark.parametrize(
+    "command, config", [("ensemble", "basic.json"), ("simulate-market", "market.json")]
+)
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_a_named_error(command, config, seed, capsys):
+    assert main([command, str(CONFIGS / config), "--seed", str(seed)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"validation error: seed must be an unsigned 64-bit integer, got {seed}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ensemble", str(CONFIGS / "basic.json"), "--n", str(10**15)],
+        ["evolve", str(CONFIGS / "basic.json"), "--t", "1", "--grid", str(10**15)],
+    ],
+)
+def test_a_request_too_large_to_allocate_is_a_named_error(argv, capsys):
+    # 10**15 elements fail at allocation, before any memory is touched
+    out = io.StringIO()
+    assert main(argv, out=out) == 1
+    assert out.getvalue() == ""
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: request too large: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate-market
 
@@ -307,12 +334,12 @@ def test_simulate_market_stdout_csv():
 SEED_42_CSV = """\
 period,price,up_fraction,down_fraction
 0,100.000000000000,,
-1,99.670909090909,0.467090909091,0.532909090909
-2,99.261352264463,0.458909090909,0.541090909091
-3,98.792116781031,0.452727272727,0.547272727273
-4,98.323303281397,0.452545454545,0.547454545455
-5,97.912133104039,0.458181818182,0.541818181818
-6,97.570330748475,0.465090909091,0.534909090909
+1,99.581818181818,0.458181818182,0.541818181818
+2,99.203407272727,0.462000000000,0.538000000000
+3,98.880545274512,0.467454545455,0.532545454545
+4,98.510192686757,0.462545454545,0.537454545455
+5,98.100032066298,0.458363636364,0.541636363636
+6,97.654122829633,0.454545454545,0.545454545455
 """
 
 
@@ -322,7 +349,7 @@ def test_simulate_market_seed_42_output_is_frozen():
     code, output = run_cli("simulate-market", str(CONFIGS / "market.json"), "--seed", "42")
     assert code == 0
     assert output == SEED_42_CSV
-    assert hashlib.sha256(output.encode()).hexdigest().startswith("ebd2f2a3f347cf8a")
+    assert hashlib.sha256(output.encode()).hexdigest().startswith("27a6e05aa62d7831")
 
 
 def test_simulate_market_seed_override_changes_path():

@@ -1,10 +1,12 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import reference_market
+from oracles import mean_field_moments, reference_market
 from qexpect import market
+from qexpect.config import load_document, scenario_from_document
 from qexpect.hilbert import Hamiltonian, StateVector, evolve, make_observable
 from qexpect.market import (
     AgentPopulation,
@@ -13,6 +15,7 @@ from qexpect.market import (
     Scenario,
     SimulationHalt,
     agent_stream,
+    market_stream,
     run_ensemble,
     run_market,
     run_sequential_ensemble,
@@ -202,19 +205,39 @@ def test_bad_order_string_rejected():
         run_sequential_ensemble(AgentPopulation(5, PLUS, "quantum"), PRICE, TILTED, "xy", 0)
 
 
+# d = 3 observables, each with a rank-2 outcome: agents measuring one first
+# collapse onto a plane rather than onto an eigenvector
+_c4, _s4, _h = np.cos(0.4), np.sin(0.4), 1 / np.sqrt(2)
+RANK_2_UP = make_observable([[_c4, _s4, 0], [-_s4, _c4, 0], [0, 0, 1]], [1.0, 1.0, -1.0])
+RANK_2_DOWN = make_observable([[_h, 0, _h], [0, 1, 0], [_h, 0, -_h]], [1.0, -1.0, -1.0])
+PSI_3 = StateVector([0.6, 0.48j, 0.64])
+UP_DOWN_PAIRS = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+
+
 def test_sequential_ensemble_frozen_table_through_a_rank_2_collapse():
     """Pins the draws of both measurements across commits. Each order's
-    first observable has a rank-2 outcome, so agents collapse onto a plane
-    rather than onto an eigenvector."""
-    c, s, h = np.cos(0.4), np.sin(0.4), 1 / np.sqrt(2)
-    first = make_observable([[c, s, 0], [-s, c, 0], [0, 0, 1]], [1.0, 1.0, -1.0])
-    second = make_observable([[h, 0, h], [0, 1, 0], [h, 0, -h]], [1.0, -1.0, -1.0])
-    pop = AgentPopulation(3000, StateVector([0.6, 0.48j, 0.64]), "quantum")
-    frozen = {"ij": (550, 1259, 597, 594), "ji": (1215, 1140, 645, 0)}
+    first observable has a rank-2 outcome."""
+    pop = AgentPopulation(3000, PSI_3, "quantum")
+    frozen = {"ij": (558, 1225, 594, 623), "ji": (1161, 1161, 676, 2)}
     for order, counts in frozen.items():
-        table = run_sequential_ensemble(pop, first, second, order, 23)
-        pairs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
-        assert table.rows == tuple((a, b, n / 3000) for (a, b), n in zip(pairs, counts))
+        table = run_sequential_ensemble(pop, RANK_2_UP, RANK_2_DOWN, order, 23)
+        assert table.rows == tuple((a, b, n / 3000) for (a, b), n in zip(UP_DOWN_PAIRS, counts))
+
+
+def test_sequential_ensemble_matches_per_agent_streams():
+    """Each agent alone measures the first observable on its market stream of
+    period 0, collapses, then measures the second on its stream of period 1;
+    this cross-checks the frozen table above."""
+    n, seed = 301, 23
+    for order in ("ij", "ji"):
+        first, second = (RANK_2_UP, RANK_2_DOWN) if order == "ij" else (RANK_2_DOWN, RANK_2_UP)
+        counts = dict.fromkeys(UP_DOWN_PAIRS, 0)
+        for i in range(n):
+            a, post = sample_measurement(PSI_3, first, market_stream(seed, i, 0))
+            b, _ = sample_measurement(post, second, market_stream(seed, i, 1))
+            counts[a, b] += 1
+        table = run_sequential_ensemble(AgentPopulation(n, PSI_3, "quantum"), RANK_2_UP, RANK_2_DOWN, order, seed)
+        assert table.rows == tuple((a, b, k / n) for (a, b), k in counts.items())
 
 
 def test_sequential_ensemble_names_a_dimension_mismatch():
@@ -294,6 +317,15 @@ ORACLE_SCENARIOS = {
         ),
         news=NewsSchedule((NewsEvent(RABI, 0.5), NewsEvent(SPLITTING, 0.9, TILTED))),
     ),
+    # the cohort boundary falls inside a Philox block: agents 180 and 181
+    # share one, across cohorts
+    "mid_block_181_119": dict(
+        populations=(
+            AgentPopulation(181, StateVector([0.6, 0.8j]), "quantum"),
+            AgentPopulation(119, BALANCED, "quantum"),
+        ),
+        news=NewsSchedule((NewsEvent(RABI, 0.5), NewsEvent(SPLITTING, 0.9, TILTED))),
+    ),
     "degenerate_rank_2": dict(
         populations=(AgentPopulation(300, StateVector([0.5, 0.5, np.sqrt(0.5)]), "quantum"),),
         price_observable=DEGENERATE,
@@ -307,6 +339,45 @@ def test_market_matches_per_agent_reference(name):
     sc = scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
     path = run_market(sc)
     assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
+
+
+def test_words_within_a_philox_block_are_independent(monkeypatch):
+    # agents 4j .. 4j + 3 read the four words of one block; for each offset r
+    # the pairs (4j, 4j + r) must both go up as often as independent agents
+    n = 400_000
+    drawn = []
+    step = market._QuantumCohort.step
+
+    def recording_step(self, news, bits):
+        result = step(self, news, bits)
+        drawn.append(result < news.ups)
+        return result
+
+    monkeypatch.setattr(market._QuantumCohort, "step", recording_step)
+    run_market(scenario(seed=17, populations=(AgentPopulation(n, BALANCED, "quantum"),), periods=1))
+    (up,) = drawn
+    pairs, p = n // 4, 0.25
+    for r in (1, 2, 3):
+        both = np.count_nonzero(up[0::4] & up[r::4])
+        assert abs(both - pairs * p) < 5 * np.sqrt(pairs * p * (1 - p))
+
+
+def test_market_up_counts_match_the_mean_field_law():
+    """Pooled over seeds 0-199 of configs/market.json, each period's up count
+    standardised by the independent density-matrix mean field is close to
+    N(0, 1)."""
+    base = scenario_from_document(load_document(str(Path(__file__).parent.parent / "configs" / "market.json")))
+    moments = mean_field_moments(base)
+    z = []
+    for seed in range(200):
+        path = run_market(dataclasses.replace(base, seed=seed))
+        for record, (mean, var) in zip(path.periods, moments):
+            z.append((round(record.up_fraction * base.total_agents) - mean) / np.sqrt(var))
+    z = np.array(z)
+    assert len(z) == 1200
+    assert abs(z.mean()) <= 0.2
+    assert 0.8 <= z.var() <= 1.2
+    assert np.abs(z).max() <= 6
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +443,8 @@ def test_chunk_size_does_not_change_results(chunk, monkeypatch):
 
 
 def test_agents_at_chunk_edges_draw_from_their_own_stream(monkeypatch):
-    # a classical population comes first, so the quantum agents' Philox
-    # blocks are offset from their index in the cohort
+    # a classical population of 5 comes first, so the quantum cohort starts
+    # mid-block and its agents' Philox words are offset from their index
     n = 2 * market._CHUNK + 3
     psi = StateVector([0.6, 0.8j])
     sc = scenario(
@@ -397,7 +468,7 @@ def test_agents_at_chunk_edges_draw_from_their_own_stream(monkeypatch):
         for period in range(sc.periods):
             event = sc.news.event_for(period)
             state = evolve(state, event.hamiltonian, event.duration)
-            outcome, state = sample_measurement(state, event.observable or PRICE, agent_stream(sc.seed, 5 + j, period))
+            outcome, state = sample_measurement(state, event.observable or PRICE, market_stream(sc.seed, 5 + j, period))
             assert drawn[period][j] == outcome
 
 
@@ -547,6 +618,20 @@ def test_scenario_seed_range():
         scenario(seed=-1)
     with pytest.raises(ValueError):
         scenario(seed=2**64)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_stream_rejects_a_seed_outside_64_bits(seed):
+    pop = AgentPopulation(10, BALANCED, "quantum")
+    calls = [
+        lambda: run_ensemble(pop, PRICE, seed),
+        lambda: run_sequential_ensemble(pop, PRICE, TILTED, "ij", seed),
+        lambda: agent_stream(seed, 0, 0),
+        lambda: market_stream(seed, 0, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"seed must be an unsigned 64-bit integer, got {seed}$"):
+            call()
 
 
 @pytest.mark.parametrize(
