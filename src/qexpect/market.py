@@ -3,11 +3,10 @@ per-period news, sample a price-expectation observable, and their aggregate
 up/down fractions drive a multiplicative price path.
 
 Determinism contract: every random draw is a pure function of
-``(scenario seed, agent index, period)``. In period ``t`` market agent ``i``
-keeps word ``i`` of the Philox stream keyed by ``(seed, t)`` (word ``i mod 4``
-of block ``i // 4``), so results are bit-identical across runs and do not
-depend on how agents are grouped. :func:`run_ensemble` keeps word 0 of
-block ``i`` instead.
+``(scenario seed, agent index, period)``. In period ``t`` agent ``i`` keeps
+word ``i`` of the Philox stream keyed by ``(seed, t)`` (word ``i mod 4`` of
+block ``i // 4``; :func:`agent_stream`), so results are bit-identical across
+runs and do not depend on how agents are grouped.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .measurement import (
     born_weights,
     collapse,
 )
-
-_MAX_SEED = 2**64
 
 
 class SimulationHalt(RuntimeError):
@@ -131,7 +128,7 @@ class Scenario:
     periods: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _checked_seed(self.seed))
+        object.__setattr__(self, "seed", _checked_u64(self.seed, "seed"))
         object.__setattr__(self, "populations", tuple(self.populations))
         if not self.populations:
             raise ValueError("scenario needs at least one population")
@@ -174,39 +171,28 @@ class Scenario:
 # Seeded stream derivation
 
 
-def _checked_seed(seed) -> int:
-    if int(seed) != seed or not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return int(seed)
+def _checked_u64(value, name: str) -> int:
+    if not 0 <= value < 2**64 or int(value) != value:
+        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
+    return int(value)
 
 
 def _period_key(seed: int, period: int) -> np.ndarray:
-    return SeedSequence([_checked_seed(seed), int(period)]).generate_state(2, np.uint64)
+    return SeedSequence([_checked_u64(seed, "seed"), int(period)]).generate_state(2, np.uint64)
 
 
 def agent_stream(seed: int, agent_index: int, period: int) -> Generator:
-    """:func:`run_ensemble`'s random stream of one agent in one period.
-
-    Its first variate is word 0 of block ``agent_index`` of the Philox stream
-    keyed by ``(seed, period)``: the draw that :func:`run_ensemble` reads for
-    that agent. The market's draw is :func:`market_stream`'s.
-    """
-    bits = Philox(key=_period_key(seed, period))
-    bits.advance(int(agent_index))
-    return Generator(bits)
-
-
-def market_stream(seed: int, agent_index: int, period: int) -> Generator:
-    """The market's random stream of one agent in one period.
+    """The random stream of one agent in one period.
 
     Its first variate is word ``agent_index`` of the Philox stream keyed by
     ``(seed, period)`` (word ``agent_index % 4`` of block ``agent_index // 4``):
-    the draw that :func:`run_market` and :func:`run_sequential_ensemble` read
-    for that agent.
+    the draw that :func:`run_market`, :func:`run_ensemble` and
+    :func:`run_sequential_ensemble` read for that agent.
     """
-    bits = Philox(key=_period_key(seed, period))
-    bits.advance(int(agent_index) // 4)
-    bits.random_raw(int(agent_index) % 4)
+    agent_index = _checked_u64(agent_index, "agent index")
+    bits = Philox(key=_period_key(seed, _checked_u64(period, "period")))
+    bits.advance(agent_index // 4)
+    bits.random_raw(agent_index % 4)
     return Generator(bits)
 
 
@@ -232,18 +218,15 @@ def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarr
     return idx
 
 
-def _draw_outcomes(
-    bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None, words_per_agent: int = 1
-) -> np.ndarray:
-    """Outcome index of each of the next ``count`` agents on ``bits``: an agent
-    reads ``words_per_agent`` words (4, a whole block, for :func:`run_ensemble`
-    alone) and keeps the first, ``w``, as ``k = w >> 11``. Words are read
-    ``_CHUNK`` agents at a time and decided while they are still in cache."""
+def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None) -> np.ndarray:
+    """Outcome index of each of the next ``count`` agents on ``bits``: each
+    agent reads the next word ``w`` and keeps it as ``k = w >> 11``. Words are
+    read ``_CHUNK`` agents at a time and decided while they are still in cache."""
     thresholds = _thresholds(cumulative)
     idx = np.empty(count, dtype=np.intp)
     for lo in range(0, count, _CHUNK):
         chunk = slice(lo, lo + _CHUNK)
-        draws = bits.random_raw(words_per_agent * min(_CHUNK, count - lo))[::words_per_agent] >> 11
+        draws = bits.random_raw(min(_CHUNK, count - lo)) >> 11
         idx[chunk] = _inverse_cdf(thresholds, draws, None if membership is None else membership[chunk])
     return idx
 
@@ -270,16 +253,16 @@ def sample_measurement(
 
 
 def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> OutcomeDistribution:
-    """Empirical outcome frequencies over independent agents, each with its
-    own derived stream; converges to the Born distribution as the population
-    grows."""
+    """Empirical outcome frequencies over independent agents, agent ``i`` on
+    word ``i`` of the stream keyed by ``(seed, 0)`` (:func:`agent_stream`);
+    converges to the Born distribution as the population grows."""
     if population.kind != "quantum":
         raise ValueError(
             "run_ensemble expects a quantum population; classical agents use "
             "the classical_agent_step pipeline"
         )
     dist = born_distribution(population.initial_state, obs)
-    idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count, words_per_agent=4)
+    idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count)
     counts = np.bincount(idx, minlength=len(dist.entries))
     return OutcomeDistribution(tuple(zip(dist.outcomes, counts / population.count)))
 
@@ -294,8 +277,7 @@ def run_sequential_ensemble(
     """Empirical joint table: every agent measures one observable, collapses,
     then measures the other; ``order`` picks which comes first ("ij" or "ji").
     The two measurements draw from the streams keyed by ``(seed, 0)`` and
-    ``(seed, 1)``, agent ``i`` on word ``i`` as in the market
-    (:func:`market_stream`).
+    ``(seed, 1)``, agent ``i`` on word ``i`` of each (:func:`agent_stream`).
 
     Converges to :func:`qexpect.measurement.sequential_joint` of the first
     and second observables.

@@ -8,7 +8,7 @@ arrays and uses nothing of ``qexpect.market`` but that data."""
 import numpy as np
 
 from qexpect.hilbert import evolve
-from qexpect.market import market_stream, sample_measurement
+from qexpect.market import agent_stream, sample_measurement
 
 
 def taylor_expm(matrix: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def reference_market(scenario) -> list[tuple[float, float, float]]:
     """``(price, up_fraction, down_fraction)`` per period of a market of
     quantum agents, each stepped alone: ``evolve`` its own state, then
-    ``sample_measurement`` with its own ``market_stream(seed, i, period)``.
+    ``sample_measurement`` with its own ``agent_stream(seed, i, period)``.
     No state is shared between agents, so nothing depends on how a market
     groups them."""
     if any(pop.kind != "quantum" for pop in scenario.populations):
@@ -123,7 +123,7 @@ def reference_market(scenario) -> list[tuple[float, float, float]]:
         for i, psi in enumerate(states):
             if event is not None:
                 psi = evolve(psi, event.hamiltonian, event.duration)
-            outcome, states[i] = sample_measurement(psi, obs, market_stream(scenario.seed, i, period))
+            outcome, states[i] = sample_measurement(psi, obs, agent_stream(scenario.seed, i, period))
             ups += outcome > 0
         f_up = ups / len(states)
         f_down = 1.0 - f_up

@@ -15,7 +15,6 @@ from qexpect.market import (
     Scenario,
     SimulationHalt,
     agent_stream,
-    market_stream,
     run_ensemble,
     run_market,
     run_sequential_ensemble,
@@ -113,7 +112,7 @@ def test_frequencies_converge_to_born():
 
 def test_run_ensemble_frozen_frequency():
     emp = run_ensemble(AgentPopulation(100_000, BALANCED, "quantum"), PRICE, 42)
-    assert emp.probability(1.0) == 0.50128
+    assert emp.probability(1.0) == 0.49936
 
 
 def test_five_sigma_binomial_bound():
@@ -225,7 +224,7 @@ def test_sequential_ensemble_frozen_table_through_a_rank_2_collapse():
 
 
 def test_sequential_ensemble_matches_per_agent_streams():
-    """Each agent alone measures the first observable on its market stream of
+    """Each agent alone measures the first observable on its stream of
     period 0, collapses, then measures the second on its stream of period 1;
     this cross-checks the frozen table above."""
     n, seed = 301, 23
@@ -233,11 +232,24 @@ def test_sequential_ensemble_matches_per_agent_streams():
         first, second = (RANK_2_UP, RANK_2_DOWN) if order == "ij" else (RANK_2_DOWN, RANK_2_UP)
         counts = dict.fromkeys(UP_DOWN_PAIRS, 0)
         for i in range(n):
-            a, post = sample_measurement(PSI_3, first, market_stream(seed, i, 0))
-            b, _ = sample_measurement(post, second, market_stream(seed, i, 1))
+            a, post = sample_measurement(PSI_3, first, agent_stream(seed, i, 0))
+            b, _ = sample_measurement(post, second, agent_stream(seed, i, 1))
             counts[a, b] += 1
         table = run_sequential_ensemble(AgentPopulation(n, PSI_3, "quantum"), RANK_2_UP, RANK_2_DOWN, order, seed)
         assert table.rows == tuple((a, b, k / n) for (a, b), k in counts.items())
+
+
+def test_ensemble_and_sequential_ensemble_share_one_draw_layout():
+    """Both samplers give agent ``i`` word ``i`` of the stream keyed by
+    ``(seed, 0)``, so the ensemble's counts are the sequential table's
+    first-outcome counts, across chunk edges and a rank-2 outcome."""
+    n, seed = 2 * market._CHUNK + 3, 11
+    pop = AgentPopulation(n, PSI_3, "quantum")
+    ensemble = {a: round(p * n) for a, p in run_ensemble(pop, RANK_2_UP, seed).entries}
+    first = dict.fromkeys(ensemble, 0)
+    for a, _, p in run_sequential_ensemble(pop, RANK_2_UP, RANK_2_DOWN, "ij", seed).rows:
+        first[a] += round(p * n)
+    assert ensemble == first
 
 
 def test_sequential_ensemble_names_a_dimension_mismatch():
@@ -468,7 +480,7 @@ def test_agents_at_chunk_edges_draw_from_their_own_stream(monkeypatch):
         for period in range(sc.periods):
             event = sc.news.event_for(period)
             state = evolve(state, event.hamiltonian, event.duration)
-            outcome, state = sample_measurement(state, event.observable or PRICE, market_stream(sc.seed, 5 + j, period))
+            outcome, state = sample_measurement(state, event.observable or PRICE, agent_stream(sc.seed, 5 + j, period))
             assert drawn[period][j] == outcome
 
 
@@ -627,11 +639,21 @@ def test_every_stream_rejects_a_seed_outside_64_bits(seed):
         lambda: run_ensemble(pop, PRICE, seed),
         lambda: run_sequential_ensemble(pop, PRICE, TILTED, "ij", seed),
         lambda: agent_stream(seed, 0, 0),
-        lambda: market_stream(seed, 0, 0),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=f"seed must be an unsigned 64-bit integer, got {seed}$"):
             call()
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, 0.5, 1.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("position, name", [(1, "agent index"), (2, "period")])
+def test_agent_stream_rejects_an_agent_index_or_period_outside_64_bits(position, name, value):
+    args = [0, 0, 0]
+    args[position] = value
+    with pytest.raises(ValueError, match=f"{name} must be an unsigned 64-bit integer, got {value}$"):
+        agent_stream(*args)
+    args[position] = 2**64 - 1
+    agent_stream(*args)
 
 
 @pytest.mark.parametrize(
