@@ -48,8 +48,8 @@ class AgentPopulation:
     kind: str = "quantum"
 
     def __post_init__(self) -> None:
-        if int(self.count) != self.count or self.count < 1:
-            raise ValueError(f"population count must be a positive integer, got {self.count}")
+        if not 1 <= self.count < 2**64 or int(self.count) != self.count:
+            raise ValueError(f"population count must be an integer in [1, 2^64), got {self.count}")
         object.__setattr__(self, "count", int(self.count))
         if self.kind not in ("quantum", "classical"):
             raise ValueError(f"population kind must be 'quantum' or 'classical', got {self.kind!r}")
@@ -132,12 +132,15 @@ class Scenario:
         object.__setattr__(self, "populations", tuple(self.populations))
         if not self.populations:
             raise ValueError("scenario needs at least one population")
+        if self.total_agents > 2**64:  # agent indices run from 0 to total - 1
+            raise ValueError(f"total agent count must be at most 2^64, got {self.total_agents}")
         if not (self.impact >= 0 and math.isfinite(self.impact)):
             raise ValueError(f"impact coefficient must be finite and >= 0, got {self.impact}")
         if not (self.initial_price > 0 and math.isfinite(self.initial_price)):
             raise ValueError(f"initial price must be finite and > 0, got {self.initial_price}")
-        if int(self.periods) != self.periods or self.periods < 1:
-            raise ValueError(f"period count must be a positive integer, got {self.periods}")
+        if not 1 <= self.periods <= 2**64 or int(self.periods) != self.periods:
+            # the last period index, periods - 1, keys a Philox stream
+            raise ValueError(f"period count must be an integer in [1, 2^64], got {self.periods}")
         object.__setattr__(self, "periods", int(self.periods))
         d = self.price_observable.dim
         for pop in self.populations:

@@ -145,7 +145,7 @@ def test_non_hermitian_matrix_names_the_entry():
     raw["hamiltonians"] = {
         "news": {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, 0.0]]]}
     }
-    with pytest.raises(ConfigValidationError, match=r"hamiltonians\.news\.matrix\[\d\]\[\d\]"):
+    with pytest.raises(ConfigValidationError, match=r"^hamiltonians\.news\.matrix: .*entry \(0,1\)"):
         document_from_dict(raw)
 
 
@@ -254,6 +254,63 @@ def test_non_finite_reals_name_their_field(path, value):
         scenario_from_document(document_from_dict(raw))
 
 
+@pytest.mark.parametrize(
+    "edits, prefix",
+    [
+        ({("states", "up"): [[0.0, 0.0], [0.0, 0.0]]}, "states.up: "),
+        (
+            {("observables",): {"bad": {"vectors": [[[1, 0], [0, 0]], [[0.9, 0], [0.1, 0]]], "eigenvalues": [1, -1]}}},
+            "observables.bad: ",
+        ),
+        ({("hamiltonians",): {"news": {"matrix": [[[0.0, 0.0]] * 3] * 2}}}, "hamiltonians.news.matrix: "),
+        ({("scenario", "populations", 0, "kind"): "alien"}, "scenario.populations[0]: "),
+        (
+            {("hamiltonians",): {"news": {"preset": "rabi"}}, ("scenario", "news"): [{"hamiltonian": "news", "duration": -1.0}]},
+            "scenario.news[0]: ",
+        ),
+        ({("states", "up"): [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "scenario: "),
+    ],
+    ids=["zero_state", "non_orthonormal_basis", "non_square_matrix", "alien_kind", "negative_duration", "dimension_mismatch"],
+)
+def test_each_constructor_error_names_its_field(edits, prefix):
+    raw = minimal_raw()
+    for path, value in edits.items():
+        raw = _mutate(raw, path, value)
+    with pytest.raises(ConfigValidationError, match=f"^{re.escape(prefix)}"):
+        scenario_from_document(document_from_dict(raw))
+
+
+@pytest.mark.parametrize(
+    "path, element",
+    [
+        (("states", "up", 1, 0), "states.up[1][0]"),
+        (("observables", "basis", "vectors", 1, 0, 1), "observables.basis.vectors[1][0][1]"),
+        (("hamiltonians", "news", "matrix", 0, 1, 0), "hamiltonians.news.matrix[0][1][0]"),
+    ],
+    ids=["amplitude", "vector", "matrix"],
+)
+def test_huge_integer_parts_name_their_element(path, element, tmp_path):
+    raw = minimal_raw()
+    raw["observables"] = {"basis": {"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "eigenvalues": [1, -1]}}
+    raw["hamiltonians"] = {"news": {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}}
+    raw["born"] = {"state": "up", "observable": "basis"}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["born", str(write_config(tmp_path, _mutate(raw, path, 10**400)))], out=io.StringIO())
+    assert code == 1
+    assert f"{element}: expected a finite number" in err.getvalue()
+
+
+def test_huge_period_count_is_rejected_by_name(tmp_path):
+    raw = minimal_raw()
+    raw["scenario"]["periods"] = 10**400
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate-market", str(write_config(tmp_path, raw))], out=io.StringIO())
+    assert code == 1
+    assert "scenario: period count must be an integer in [1, 2^64]" in err.getvalue()
+
+
 def test_section_lookup_errors():
     doc = document_from_dict({"version": 1})
     with pytest.raises(ConfigValidationError, match="born"):
@@ -265,7 +322,7 @@ def test_section_lookup_errors():
 # silent non-finite result
 
 _DROP = "<dropped>"
-_MUTATIONS = (float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e300, "text", None, [], {}, True, _DROP)
+_MUTATIONS = (float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 1e300, 10**400, "text", None, [], {}, True, _DROP)
 _READERS = {
     "basic.json": (["born"], ["evolve", "--t", "-2.5", "--grid", "5"], ["uncertainty"], ["ensemble", "--n", "100"]),
     "tilted.json": (["born"], ["interference"], ["order-effect"], ["uncertainty"]),
@@ -297,9 +354,10 @@ def _mutate(raw, path, value):
 
 @pytest.mark.parametrize("name", sorted(_READERS))
 def test_mutated_configs_give_a_named_error_or_finite_output(name, tmp_path):
-    """Every node of a shipped config, set to NaN, +-Inf, +-1e308, 1e300, a
-    string, null, [], {} or true, or dropped, must make each command that reads the file
-    exit 1 or 2, or exit 0 with no nan/inf on stdout; never raise."""
+    """Every node of a shipped config, set to NaN, +-Inf, +-1e308, 1e300,
+    10**400, a string, null, [], {} or true, or dropped, must make each
+    command that reads the file exit 1 or 2, or exit 0 with no nan/inf on
+    stdout; never raise."""
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     path = tmp_path / name
     failures = []

@@ -610,6 +610,33 @@ def test_population_validation():
         AgentPopulation(5, PLUS, "hybrid")
 
 
+@pytest.mark.parametrize(
+    "count", [0, 2**64, 10**400, 1.5, float("nan"), float("inf")], ids=["0", "2^64", "10^400", "1.5", "nan", "inf"]
+)
+def test_population_count_lies_below_2_to_the_64(count):
+    with pytest.raises(ValueError, match=r"^population count must be an integer in \[1, 2\^64\)"):
+        AgentPopulation(count, PLUS, "quantum")
+    assert AgentPopulation(2**64 - 1, PLUS, "quantum").count == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "periods",
+    [0, 2**64 + 1, 10**400, 1.5, float("nan"), float("inf")],
+    ids=["0", "2^64+1", "10^400", "1.5", "nan", "inf"],
+)
+def test_period_count_keeps_the_last_period_within_64_bits(periods):
+    with pytest.raises(ValueError, match=r"^period count must be an integer in \[1, 2\^64\]"):
+        scenario(periods=periods)
+    assert scenario(periods=2**64).periods == 2**64  # built, never run
+
+
+def test_total_agent_count_keeps_agent_indices_within_64_bits():
+    half = AgentPopulation(2**63, PLUS, "quantum")
+    assert scenario(populations=(half, half)).total_agents == 2**64  # built, never run
+    with pytest.raises(ValueError, match=r"^total agent count must be at most 2\^64"):
+        scenario(populations=(half, half, AgentPopulation(1, PLUS, "quantum")))
+
+
 def test_news_duration_must_be_nonnegative():
     with pytest.raises(ValueError):
         NewsEvent(RABI, -0.5)
