@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -50,14 +51,14 @@ commands:
 """
 
 
+def _unsigned_zeros(text: str) -> str:
+    """Drop the sign of every 12-decimal field that rounds to zero."""
+    return text.replace("-0.000000000000", "0.000000000000")
+
+
 def fmt(x: float) -> str:
-    """Fixed 12-decimal rendering used for every numeric result."""
-    s = f"{float(x):.12f}"
-    return s[1:] if s.startswith("-0.") and float(s) == 0.0 else s
-
-
-def _outcome_label(outcome: float) -> str:
-    return f"{outcome:g}"
+    """Fixed 12-decimal rendering of every numeric result; zero is unsigned."""
+    return _unsigned_zeros("%.12f" % float(x))
 
 
 @dataclass
@@ -75,16 +76,18 @@ class RunReport:
         return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
 
 
-def _parser(command: str, **flags) -> argparse.ArgumentParser:
+@functools.cache
+def _parser(command: str) -> argparse.ArgumentParser:
+    """The command's parser, built from :data:`_COMMANDS` on its first use
+    and reused after: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(prog=f"qexpect {command}")
     parser.add_argument("config", help="path to a JSON config document")
-    for name, options in flags.items():
+    for name, options in _COMMANDS[command][1].items():
         parser.add_argument(f"--{name}", **options)
     return parser
 
 
-def _cmd_born(args, out) -> int:
-    opts = _parser("born").parse_args(args)
+def _cmd_born(opts, out) -> int:
     doc = load_document(opts.config)
     section = doc.section("born")
     psi = doc.state(section.get("state"), "born.state")
@@ -94,12 +97,7 @@ def _cmd_born(args, out) -> int:
     return 0
 
 
-def _cmd_evolve(args, out) -> int:
-    opts = _parser(
-        "evolve",
-        t={"type": float, "required": True, "help": "end of the time grid"},
-        grid={"type": int, "default": 101, "help": "number of grid samples"},
-    ).parse_args(args)
+def _cmd_evolve(opts, out) -> int:
     if opts.grid < 2:
         raise ConfigValidationError("--grid: need at least 2 samples")
     if not np.isfinite(opts.t):
@@ -110,15 +108,14 @@ def _cmd_evolve(args, out) -> int:
     hamiltonian = doc.hamiltonian(section.get("hamiltonian"), "evolve.hamiltonian")
     obs = doc.observable(section.get("observable"), "evolve.observable")
     times = np.linspace(0.0, opts.t, opts.grid)
-    lines = ["t," + ",".join(f"p_{_outcome_label(o)}" for o in obs.outcomes)]
-    for t, weights in zip(times.tolist(), evolved_born_grid(psi, hamiltonian, times, obs).tolist()):
-        lines.append(",".join([fmt(t)] + [fmt(p) for p in weights]))
-    out.write("\n".join(lines) + "\n")
+    grid = np.column_stack([times, evolved_born_grid(psi, hamiltonian, times, obs)])
+    row = ",".join(["%.12f"] * grid.shape[1]) + "\n"
+    out.write("t," + ",".join(f"p_{o:g}" for o in obs.outcomes) + "\n")
+    out.write(_unsigned_zeros((row * len(grid)) % tuple(grid.ravel().tolist())))
     return 0
 
 
-def _cmd_interference(args, out) -> int:
-    opts = _parser("interference").parse_args(args)
+def _cmd_interference(opts, out) -> int:
     doc = load_document(opts.config)
     section = doc.section("interference")
     psi = doc.state(section.get("state"), "interference.state")
@@ -136,8 +133,7 @@ def _cmd_interference(args, out) -> int:
     return 0
 
 
-def _cmd_order_effect(args, out) -> int:
-    opts = _parser("order-effect").parse_args(args)
+def _cmd_order_effect(opts, out) -> int:
     doc = load_document(opts.config)
     section = doc.section("order_effect")
     psi = doc.state(section.get("state"), "order_effect.state")
@@ -155,8 +151,7 @@ def _cmd_order_effect(args, out) -> int:
     return 0
 
 
-def _cmd_uncertainty(args, out) -> int:
-    opts = _parser("uncertainty").parse_args(args)
+def _cmd_uncertainty(opts, out) -> int:
     doc = load_document(opts.config)
     section = doc.section("uncertainty")
     psi = doc.state(section.get("state"), "uncertainty.state")
@@ -167,12 +162,7 @@ def _cmd_uncertainty(args, out) -> int:
     return 0
 
 
-def _cmd_ensemble(args, out) -> int:
-    opts = _parser(
-        "ensemble",
-        n={"type": int, "default": 10000, "help": "number of agents"},
-        seed={"type": int, "default": 0, "help": "ensemble seed"},
-    ).parse_args(args)
+def _cmd_ensemble(opts, out) -> int:
     doc = load_document(opts.config)
     section = doc.section("ensemble")
     psi = doc.state(section.get("state"), "ensemble.state")
@@ -196,13 +186,7 @@ def _price_csv(path: PricePath) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate_market(args, out) -> int:
-    opts = _parser(
-        "simulate-market",
-        seed={"type": int, "default": None, "help": "override the scenario seed"},
-        csv={"type": str, "default": None, "help": "write the price CSV here instead of stdout"},
-        report={"type": str, "default": None, "help": "write a JSON run report to this path"},
-    ).parse_args(args)
+def _cmd_simulate_market(opts, out) -> int:
     scenario = scenario_from_document(load_document(opts.config))
     if opts.seed is not None:
         scenario = dataclasses.replace(scenario, seed=opts.seed)
@@ -235,14 +219,25 @@ def _cmd_simulate_market(args, out) -> int:
     return 0
 
 
-_HANDLERS = {
-    "born": _cmd_born,
-    "evolve": _cmd_evolve,
-    "interference": _cmd_interference,
-    "order-effect": _cmd_order_effect,
-    "uncertainty": _cmd_uncertainty,
-    "ensemble": _cmd_ensemble,
-    "simulate-market": _cmd_simulate_market,
+# command -> (handler, its options beyond the config path)
+_COMMANDS = {
+    "born": (_cmd_born, {}),
+    "evolve": (_cmd_evolve, {
+        "t": {"type": float, "required": True, "help": "end of the time grid"},
+        "grid": {"type": int, "default": 101, "help": "number of grid samples"},
+    }),
+    "interference": (_cmd_interference, {}),
+    "order-effect": (_cmd_order_effect, {}),
+    "uncertainty": (_cmd_uncertainty, {}),
+    "ensemble": (_cmd_ensemble, {
+        "n": {"type": int, "default": 10000, "help": "number of agents"},
+        "seed": {"type": int, "default": 0, "help": "ensemble seed"},
+    }),
+    "simulate-market": (_cmd_simulate_market, {
+        "seed": {"type": int, "default": None, "help": "override the scenario seed"},
+        "csv": {"type": str, "default": None, "help": "write the price CSV here instead of stdout"},
+        "report": {"type": str, "default": None, "help": "write a JSON run report to this path"},
+    }),
 }
 
 
@@ -253,12 +248,11 @@ def main(argv: list[str] | None = None, out=None) -> int:
         print(USAGE, end="", file=sys.stderr if not argv else out)
         return 64 if not argv else 0
     command, rest = argv[0], argv[1:]
-    handler = _HANDLERS.get(command)
-    if handler is None:
+    if command not in _COMMANDS:
         sys.stderr.write(f"error: unknown command {command!r}\n{USAGE}")
         return 64
     try:
-        return handler(rest, out)
+        return _COMMANDS[command][0](_parser(command).parse_args(rest), out)
     except ConfigParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2

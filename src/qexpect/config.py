@@ -194,6 +194,8 @@ def load_document(path) -> ConfigDocument:
         raise ConfigParseError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # an integer beyond Python's digit limit, or too deep a nesting
+        raise ConfigParseError(f"malformed JSON in {path}: {exc}") from exc
     return document_from_dict(raw)
 
 
@@ -313,7 +315,7 @@ def _matrix_pairs(matrix: np.ndarray) -> list:
 
 def _observable_entry(obs: Observable) -> dict:
     return {
-        "vectors": [_pairs(v.amplitudes) for v in obs.eigenvectors],
+        "vectors": [_pairs(column) for column in obs.basis.T],
         "eigenvalues": [float(v) for v in obs.eigenvalues],
     }
 

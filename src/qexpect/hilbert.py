@@ -3,12 +3,13 @@ projectors, and unitary time evolution.
 
 All values are immutable and all operations are pure functions, so everything
 in this module is safe to share across threads (two threads that race to
-build an observable's lazy layout compute equal values).
+build an observable's lazy matrix or layout compute equal values).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -18,6 +19,7 @@ import numpy as np
 # bases and matrices are accepted up to the looser INPUT_TOL.
 INVARIANT_TOL = 1e-10
 INPUT_TOL = 1e-8
+MIN_NORM = 1e-12  # an amplitude vector with a smaller norm cannot be normalized
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -52,7 +54,7 @@ class StateVector:
             raise ValueError("state amplitudes must be finite")
         with np.errstate(over="ignore"):  # an overflowing norm is rejected below
             norm = np.linalg.norm(arr)
-        if norm < 1e-12:
+        if norm < MIN_NORM:
             raise ValueError("cannot normalize a (near-)zero amplitude vector")
         if norm == np.inf:
             raise ValueError("cannot normalize an amplitude vector whose norm overflows")
@@ -109,12 +111,13 @@ class Projector:
 class SpectralLayout(NamedTuple):
     """An observable's eigenbasis grouped by descending outcome: ``outcomes[k]``
     owns ``ranks[k]`` columns of ``columns`` from ``starts[k]`` on, in
-    eigenvector order, and ``projectors[k]`` projects onto their span."""
+    eigenvector order; ``stack[k]`` projects onto their span, as ``projectors[k]`` does."""
 
     outcomes: tuple[float, ...]
     columns: np.ndarray
     starts: np.ndarray
     ranks: np.ndarray
+    stack: np.ndarray
     projectors: tuple[Projector, ...]
 
 
@@ -123,43 +126,45 @@ class Observable:
     """Hermitian operator given as an orthonormal eigenbasis plus real
     eigenvalues (the outcome labels, e.g. +1/-1 for price up/down).
 
+    ``basis`` is the ``(d, d)`` matrix whose columns are the eigenvectors, in
+    eigenvector order; its Gram matrix must be the identity within 1e-8.
     Repeated eigenvalues are allowed; outcomes then label eigenspaces and
     :func:`projector_for` returns the rank-``multiplicity`` projector.
-    ``basis`` holds the eigenvectors as columns, in eigenvector order;
-    :attr:`layout` groups them by outcome.
+    :attr:`layout` groups the columns by outcome.
     """
 
-    eigenvectors: tuple[StateVector, ...]
+    basis: np.ndarray
     eigenvalues: tuple[float, ...]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vectors = tuple(self.eigenvectors)
+        basis = np.array(self.basis, dtype=complex, order="C")
         values = tuple(float(v) for v in self.eigenvalues)
-        if not vectors:
+        if not basis.size:
             raise ValueError("observable needs at least one eigenvector")
-        d = vectors[0].dim
-        if len(vectors) != d:
-            raise ValueError(f"need {d} eigenvectors for dimension {d}, got {len(vectors)}")
+        if basis.ndim != 2:
+            raise ValueError(f"observable basis must be a matrix of eigenvector columns, got shape {basis.shape}")
+        d, n = basis.shape
+        if n != d:
+            raise ValueError(f"need {d} eigenvectors for dimension {d}, got {n}")
         if len(values) != d:
             raise ValueError(f"need {d} eigenvalues for dimension {d}, got {len(values)}")
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             raise ValueError(f"observable eigenvalues must be finite, got {values}")
-        basis = np.column_stack([v.amplitudes for v in vectors])
-        gram = basis.conj().T @ basis
-        dev = np.max(np.abs(gram - np.eye(d)))
-        if dev > INPUT_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the check below
+            dev = np.abs(basis.conj().T @ basis - np.eye(d)).max()
+        if not dev <= INPUT_TOL:
             raise ValueError(f"eigenvectors are not orthonormal (Gram deviation {dev:.3e})")
-        mat = (basis * np.asarray(values)) @ basis.conj().T
-        object.__setattr__(self, "eigenvectors", vectors)
-        object.__setattr__(self, "eigenvalues", values)
-        object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "basis", _frozen(basis))
+        object.__setattr__(self, "eigenvalues", values)
 
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The operator ``B diag(eigenvalues) Bᴴ``, built on first use."""
+        return _frozen((self.basis * np.asarray(self.eigenvalues)) @ self.basis.conj().T)
 
     @cached_property
     def layout(self) -> SpectralLayout:
@@ -171,10 +176,10 @@ class Observable:
         starts = [k for k in range(self.dim) if k == 0 or values[k] != values[k - 1]]
         ends = starts[1:] + [self.dim]
         columns = _frozen(self.basis[:, order])
-        blocks = (columns[:, lo:hi] for lo, hi in zip(starts, ends))
-        projectors = tuple(Projector._trusted(b @ b.conj().T) for b in blocks)
+        stack = _frozen(np.stack([b @ b.conj().T for b in (columns[:, lo:hi] for lo, hi in zip(starts, ends))]))
         ranks = _frozen(np.subtract(ends, starts))
-        return SpectralLayout(tuple(values[k] for k in starts), columns, _frozen(np.array(starts)), ranks, projectors)
+        projectors = tuple(Projector._trusted(p) for p in stack)
+        return SpectralLayout(tuple(values[k] for k in starts), columns, _frozen(np.array(starts)), ranks, stack, projectors)
 
     @property
     def outcomes(self) -> tuple[float, ...]:
@@ -216,16 +221,17 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 
 def make_observable(eigenvectors: Iterable, eigenvalues: Sequence[float]) -> Observable:
-    """Build an Observable from an orthonormal basis and outcome labels.
-
-    Accepts StateVectors or raw amplitude sequences. Rejects non-orthonormal
-    bases (Gram deviation above 1e-8).
-    """
-    vectors = tuple(
-        v if isinstance(v, StateVector) else StateVector(np.asarray(v, dtype=complex))
-        for v in eigenvectors
-    )
-    return Observable(vectors, tuple(float(v) for v in eigenvalues))
+    """Build an Observable from one StateVector or amplitude sequence per
+    eigenvector, all normalized in one pass. A vector that :class:`StateVector`
+    would reject raises its message; :class:`Observable` checks orthonormality."""
+    vectors = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v) for v in eigenvectors]
+    rows = np.array(vectors) if vectors else np.empty((0, 0), dtype=complex)
+    with np.errstate(over="ignore"):  # StateVector's norm to the bit; an overflow is rejected below
+        norms = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+    if rows.shape[1] < 2 or not all(MIN_NORM <= n < math.inf for n in norms.tolist()):
+        for row in rows:
+            StateVector(row)  # the first bad vector raises its message
+    return Observable((rows / norms[:, None]).T, eigenvalues)
 
 
 def projector_for(obs: Observable, outcome: float) -> Projector:

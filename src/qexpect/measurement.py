@@ -204,7 +204,7 @@ def transition_probability(from_eigvec: StateVector, to_eigvec: StateVector) -> 
 def _branches(psi: StateVector, obs: Observable) -> np.ndarray:
     """The unnormalized branches ``P_k psi`` as the rows of a ``(K, d)`` array,
     one per outcome of ``obs`` in descending order."""
-    return np.stack([proj.matrix for proj in obs.layout.projectors]) @ psi.amplitudes
+    return obs.layout.stack @ psi.amplitudes
 
 
 def sequential_joint(
@@ -253,7 +253,7 @@ def interference_term(
     """
     if psi.dim != target.dim or psi.dim != partition.dim:
         raise ValueError("dimension mismatch between state, target and partition")
-    completeness = sum(branch.matrix for branch in partition.layout.projectors)
+    completeness = partition.layout.stack.sum(axis=0)
     if not np.allclose(completeness, np.eye(partition.dim), atol=1e-8):
         raise ValueError("partition projectors do not sum to the identity")
     p_direct = born_probability(psi, target)

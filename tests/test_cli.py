@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qexpect import cli
 from qexpect.cli import fmt, main
 from qexpect.config import document_from_dict, load_document, scenario_from_document
 from qexpect.hilbert import evolve
 from qexpect.market import run_market
-from qexpect.measurement import born_distribution
+from qexpect.measurement import born_distribution, evolved_born_grid
 
 import oracles
 
@@ -207,6 +208,69 @@ def test_evolve_makes_one_eigh_call_per_command(monkeypatch):
     assert code == 0
     assert len(output.splitlines()) == 302
     assert len(calls) == 1
+
+
+def _evolve_fields(output: str) -> list[list[str]]:
+    return [line.split(",") for line in output.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("t", ["-3.5", "-1e-13"], ids=["negative", "negative_zero_times"])
+def test_evolve_fields_are_fmt_of_the_grid_values(t, tmp_path):
+    path = _evolve_config(tmp_path, np.random.default_rng(4), 4, [-1.0, 0.5, 0.5, -1.0])
+    code, output = run_cli("evolve", str(path), f"--t={t}", "--grid", "9")
+    assert code == 0
+    doc = load_document(path)
+    times = np.linspace(0.0, float(t), 9)
+    weights = evolved_born_grid(doc.states["psi"], doc.hamiltonians["h"], times, doc.observables["obs"])
+    expected = [[fmt(v) for v in [time, *row]] for time, row in zip(times, weights)]
+    assert _evolve_fields(output) == expected
+    assert "-0.000000000000" not in output
+
+
+def test_evolve_prints_a_negative_zero_weight_without_its_sign(monkeypatch):
+    grids = []
+
+    def signed_zeros(psi, hamiltonian, times, obs):
+        grid = evolved_born_grid(psi, hamiltonian, times, obs)
+        grid[0, 0], grid[1, 1], grid[2, 0] = -0.0, -1e-15, -2e-12
+        grids.append(grid)
+        return grid
+
+    monkeypatch.setattr(cli, "evolved_born_grid", signed_zeros)
+    code, output = run_cli("evolve", str(CONFIGS / "basic.json"), "--t", "1.0", "--grid", "4")
+    assert code == 0
+    times = np.linspace(0.0, 1.0, 4)
+    assert _evolve_fields(output) == [[fmt(v) for v in [time, *row]] for time, row in zip(times, grids[0])]
+    assert _evolve_fields(output)[0][1] == _evolve_fields(output)[1][2] == "0.000000000000"
+    assert _evolve_fields(output)[2][1] == "-0.000000000002"
+
+
+# ---------------------------------------------------------------------------
+# parsers
+
+
+def test_parsers_are_built_on_first_use_not_at_import():
+    probe = "import qexpect.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, check=True)
+    assert done.stdout.decode().strip() == "0"
+
+
+def test_repeated_calls_share_no_parser_state():
+    args = ("ensemble", str(CONFIGS / "basic.json"), "--n", "500")
+    fresh = run_cli_subprocess(*args)
+    assert fresh.returncode == 0
+    seeded = run_cli(*args, "--seed", "7")
+    assert seeded[0] == 0 and seeded[1] != fresh.stdout.decode()
+    assert run_cli(*args) == (0, fresh.stdout.decode())
+
+
+def test_a_bad_flag_exits_2_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["born", str(CONFIGS / "basic.json"), "--bogus"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,27 @@ def test_malformed_json_reports_line_and_column(tmp_path):
         load_document(path)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"version": 1, "states": {"up": [[' + "9" * 5000 + ", 0], [0, 0]]}}", "digits"),
+        ('{"version": 1, "x": ' + "[" * 100_000 + "]" * 100_000 + "}", "recursion"),
+    ],
+    ids=["integer_beyond_the_digit_limit", "nesting_beyond_the_recursion_limit"],
+)
+def test_unreadable_json_values_are_a_parse_error_naming_the_file(text, reason, tmp_path):
+    path = tmp_path / "unreadable.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigParseError, match=reason) as info:
+        load_document(path)
+    assert str(path) in str(info.value)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["born", str(path)], out=io.StringIO())
+    assert code == 2
+    assert err.getvalue().startswith(f"parse error: malformed JSON in {path}: ")
+
+
 def test_version_field_is_required():
     with pytest.raises(ConfigValidationError, match="version"):
         document_from_dict({"states": {}})
@@ -101,10 +122,8 @@ def test_angle_in_degrees_builds_the_rotated_basis():
     doc = document_from_dict(raw)
     obs = doc.observables["tilted"]
     expected_up = [math.cos(math.pi / 3), math.sin(math.pi / 3)]
-    assert np.allclose(obs.eigenvectors[0].amplitudes, expected_up, atol=1e-12)
-    assert np.allclose(
-        obs.eigenvectors[1].amplitudes, [-expected_up[1], expected_up[0]], atol=1e-12
-    )
+    assert np.allclose(obs.basis[:, 0], expected_up, atol=1e-12)
+    assert np.allclose(obs.basis[:, 1], [-expected_up[1], expected_up[0]], atol=1e-12)
     assert obs.eigenvalues == (1.0, -1.0)
 
 
@@ -112,12 +131,7 @@ def test_angle_with_phase_stays_orthonormal():
     raw = minimal_raw()
     raw["observables"] = {"spun": {"angle": 0.7, "phase": 1.1}}
     obs = document_from_dict(raw).observables["spun"]
-    gram = np.array(
-        [
-            [np.vdot(a.amplitudes, b.amplitudes) for b in obs.eigenvectors]
-            for a in obs.eigenvectors
-        ]
-    )
+    gram = np.array([[np.vdot(a, b) for b in obs.basis.T] for a in obs.basis.T])
     assert np.allclose(gram, np.eye(2), atol=1e-12)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qexpect.hilbert import (
     Hamiltonian,
+    Observable,
     Projector,
     StateVector,
     commutator_norm,
@@ -144,12 +145,8 @@ def test_non_orthonormal_basis_rejected():
 
 def test_rotated_basis_is_valid():
     obs = make_observable(rotated_basis(np.pi / 3), [1.0, -1.0])
-    gram = np.array(
-        [
-            [inner_product(a, b) for b in obs.eigenvectors]
-            for a in obs.eigenvectors
-        ]
-    )
+    vectors = [StateVector(column) for column in obs.basis.T]
+    gram = np.array([[inner_product(a, b) for b in vectors] for a in vectors])
     assert np.allclose(gram, np.eye(2), atol=INVARIANT_TOL)
 
 
@@ -165,6 +162,77 @@ def test_observable_matrix_is_hermitian_for_random_bases():
 def test_wrong_vector_count_rejected():
     with pytest.raises(ValueError):
         make_observable([[1, 0]], [1.0])
+
+
+# The inputs make_observable accepts, and the exact message of each rejection.
+_UP_DOWN = [1.0, -1.0]
+_MAKE_OBSERVABLE_REJECTS = {
+    "zero column": ([[1, 0], [0, 0]], _UP_DOWN, "cannot normalize a (near-)zero amplitude vector"),
+    "near-zero column": ([[1e-13, 0], [0, 1]], _UP_DOWN, "cannot normalize a (near-)zero amplitude vector"),
+    "nan column": ([[1, 0], [np.nan, 1]], _UP_DOWN, "state amplitudes must be finite"),
+    "inf column": ([[1, 0], [0, np.inf]], _UP_DOWN, "state amplitudes must be finite"),
+    "complex nan column": ([[1, 0], [complex(0, np.nan), 1]], _UP_DOWN, "state amplitudes must be finite"),
+    "overflowing column": ([[1, 0], [1e308, 1e308]], _UP_DOWN, "cannot normalize an amplitude vector whose norm overflows"),
+    "first bad column named": ([[0, 0], [np.nan, 1]], _UP_DOWN, "cannot normalize a (near-)zero amplitude vector"),
+    "gram just over 1e-8": ([[1, 0], [1.01e-8, 1]], _UP_DOWN, "eigenvectors are not orthonormal (Gram deviation 1.010e-08)"),
+    "too few vectors": ([[1, 0, 0], [0, 1, 0]], _UP_DOWN, "need 3 eigenvectors for dimension 3, got 2"),
+    "too many vectors": ([[1, 0], [0, 1], [1, 1]], [1.0, -1.0, 0.0], "need 2 eigenvectors for dimension 2, got 3"),
+    "non-square basis": ([[1, 0, 0], [0, 1, 0]], [1.0, -1.0, 0.0], "need 3 eigenvectors for dimension 3, got 2"),
+    "no vectors": ([], [], "observable needs at least one eigenvector"),
+    "dimension one": ([[1]], [1.0], "state dimension must be >= 2, got 1"),
+    "vector not 1-d": ([np.eye(2), np.eye(2)], _UP_DOWN, "state amplitudes must be a 1-d sequence, got shape (2, 2)"),
+    "too few eigenvalues": (np.eye(2), [1.0], "need 2 eigenvalues for dimension 2, got 1"),
+    "nan eigenvalue": (np.eye(2), [1.0, np.nan], "observable eigenvalues must be finite, got (1.0, nan)"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MAKE_OBSERVABLE_REJECTS))
+def test_make_observable_rejects_with_its_message(name):
+    vectors, values, message = _MAKE_OBSERVABLE_REJECTS[name]
+    with pytest.raises(ValueError) as info:
+        make_observable(vectors, values)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        [[3, 4], [-4, 3]],
+        [[2j, 0], [0, -0.5]],
+        [[1, 0], [0.99e-8, 1]],
+        [[1, 1, 0], [1, -1, 0], [0, 0, 7]],
+    ],
+    ids=["unnormalised", "unnormalised complex", "gram just under 1e-8", "unnormalised d=3"],
+)
+def test_make_observable_accepts_and_normalizes_each_column(vectors):
+    obs = make_observable(vectors, np.arange(len(vectors), dtype=float))
+    expected = np.array(vectors, dtype=complex).T
+    assert np.allclose(obs.basis, expected / np.linalg.norm(expected, axis=0), atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (np.full((2, 2), np.nan), "not orthonormal"),
+        (np.array([[np.inf, 0], [0, 1]]), "not orthonormal"),
+        (np.array([[3.0, 0], [0, 1]]), "not orthonormal"),
+        (np.ones(3), "matrix of eigenvector columns"),
+        (np.eye(2)[:, :1], "need 2 eigenvectors"),
+    ],
+    ids=["nan", "inf", "unnormalised", "not_a_matrix", "non_square"],
+)
+def test_observable_takes_an_orthonormal_column_matrix(basis, message):
+    with pytest.raises(ValueError, match=message):
+        Observable(basis, [1.0, -1.0])
+
+
+def test_observable_owns_a_frozen_copy_of_its_basis():
+    basis = np.eye(2)
+    obs = Observable(basis, [1.0, -1.0])
+    basis[0, 0] = 5.0
+    assert np.array_equal(obs.basis, np.eye(2))
+    with pytest.raises(ValueError):
+        obs.basis[0, 0] = 5.0
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ def test_born_matches_rank1_inner_product_form():
     for _ in range(25):
         psi_arr = oracles.random_state_array(rng, 2)
         obs, basis = random_observable(rng, 2)
-        for vec, lam in zip(obs.eigenvectors, obs.eigenvalues):
-            direct = abs(np.vdot(vec.amplitudes, psi_arr)) ** 2
+        for vec, lam in zip(obs.basis.T, obs.eigenvalues):
+            direct = abs(np.vdot(vec, psi_arr)) ** 2
             via_proj = born_probability(
                 StateVector(psi_arr), projector_for(obs, lam)
             )
@@ -225,7 +225,7 @@ def test_transition_orthogonal_vectors():
 
 
 def test_transition_between_tilted_bases():
-    up_j = TILTED.eigenvectors[0]
+    up_j = StateVector(TILTED.basis[:, 0])
     assert transition_probability(PLUS, up_j) == pytest.approx(0.25, abs=1e-12)
 
 
