@@ -19,7 +19,6 @@ import numpy as np
 # bases and matrices are accepted up to the looser INPUT_TOL.
 INVARIANT_TOL = 1e-10
 INPUT_TOL = 1e-8
-MIN_NORM = 1e-12  # an amplitude vector with a smaller norm cannot be normalized
 
 
 def _as_complex_vector(amplitudes) -> np.ndarray:
@@ -32,6 +31,23 @@ def _as_complex_vector(amplitudes) -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of an ``(n, d)`` amplitude array over its norm; the first row that is
+    not a state raises. The one rule of :class:`StateVector` and :func:`make_observable`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # np.linalg.norm's two dots, to the bit; a bad row is rejected below
+        norms = [math.sqrt(float(row.real.dot(row.real)) + float(row.imag.dot(row.imag))) for row in rows]
+    for row, norm in zip(rows, norms):
+        if rows.shape[1] < 2:
+            raise ValueError(f"state dimension must be >= 2, got {rows.shape[1]}")
+        if not norm < math.inf:  # a non-finite amplitude, or a norm that overflows
+            if not np.isfinite(row).all():
+                raise ValueError("state amplitudes must be finite")
+            raise ValueError("cannot normalize an amplitude vector whose norm overflows")
+        if norm < 1e-12:
+            raise ValueError("cannot normalize a (near-)zero amplitude vector")
+    return rows / np.array(norms)[:, None]
 
 
 @dataclass(frozen=True)
@@ -48,17 +64,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         arr = _as_complex_vector(self.amplitudes)
-        if arr.shape[0] < 2:
-            raise ValueError(f"state dimension must be >= 2, got {arr.shape[0]}")
-        if not np.isfinite(arr).all():
-            raise ValueError("state amplitudes must be finite")
-        with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-            norm = np.linalg.norm(arr)
-        if norm < MIN_NORM:
-            raise ValueError("cannot normalize a (near-)zero amplitude vector")
-        if norm == np.inf:
-            raise ValueError("cannot normalize an amplitude vector whose norm overflows")
-        object.__setattr__(self, "amplitudes", _frozen(arr / norm))
+        object.__setattr__(self, "amplitudes", _frozen(_unit_rows(arr[None])[0]))
 
     @property
     def dim(self) -> int:
@@ -126,11 +132,10 @@ class Observable:
     """Hermitian operator given as an orthonormal eigenbasis plus real
     eigenvalues (the outcome labels, e.g. +1/-1 for price up/down).
 
-    ``basis`` is the ``(d, d)`` matrix whose columns are the eigenvectors, in
-    eigenvector order; its Gram matrix must be the identity within 1e-8.
     Repeated eigenvalues are allowed; outcomes then label eigenspaces and
     :func:`projector_for` returns the rank-``multiplicity`` projector.
-    :attr:`layout` groups the columns by outcome.
+    ``basis`` (``d x d``, ``d >= 2``) holds the eigenvectors as columns, in eigenvector order,
+    with a Gram matrix within 1e-8 of the identity; :attr:`layout` groups them by outcome.
     """
 
     basis: np.ndarray
@@ -144,6 +149,8 @@ class Observable:
         if basis.ndim != 2:
             raise ValueError(f"observable basis must be a matrix of eigenvector columns, got shape {basis.shape}")
         d, n = basis.shape
+        if d < 2:
+            raise ValueError(f"observable dimension must be >= 2, got {d}")
         if n != d:
             raise ValueError(f"need {d} eigenvectors for dimension {d}, got {n}")
         if len(values) != d:
@@ -222,16 +229,12 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
 
 def make_observable(eigenvectors: Iterable, eigenvalues: Sequence[float]) -> Observable:
     """Build an Observable from one StateVector or amplitude sequence per
-    eigenvector, all normalized in one pass. A vector that :class:`StateVector`
-    would reject raises its message; :class:`Observable` checks orthonormality."""
+    eigenvector, all normalized in one pass by :class:`StateVector`'s rule
+    (the first vector it rejects raises its message); :class:`Observable`
+    checks orthonormality."""
     vectors = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v) for v in eigenvectors]
     rows = np.array(vectors) if vectors else np.empty((0, 0), dtype=complex)
-    with np.errstate(over="ignore"):  # StateVector's norm to the bit; an overflow is rejected below
-        norms = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-    if rows.shape[1] < 2 or not all(MIN_NORM <= n < math.inf for n in norms.tolist()):
-        for row in rows:
-            StateVector(row)  # the first bad vector raises its message
-    return Observable((rows / norms[:, None]).T, eigenvalues)
+    return Observable(_unit_rows(rows).T, eigenvalues)
 
 
 def projector_for(obs: Observable, outcome: float) -> Projector:

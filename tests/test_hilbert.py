@@ -145,9 +145,7 @@ def test_non_orthonormal_basis_rejected():
 
 def test_rotated_basis_is_valid():
     obs = make_observable(rotated_basis(np.pi / 3), [1.0, -1.0])
-    vectors = [StateVector(column) for column in obs.basis.T]
-    gram = np.array([[inner_product(a, b) for b in vectors] for a in vectors])
-    assert np.allclose(gram, np.eye(2), atol=INVARIANT_TOL)
+    assert np.allclose(obs.basis.conj().T @ obs.basis, np.eye(2), atol=INVARIANT_TOL)
 
 
 def test_observable_matrix_is_hermitian_for_random_bases():
@@ -218,8 +216,9 @@ def test_make_observable_accepts_and_normalizes_each_column(vectors):
         (np.array([[3.0, 0], [0, 1]]), "not orthonormal"),
         (np.ones(3), "matrix of eigenvector columns"),
         (np.eye(2)[:, :1], "need 2 eigenvectors"),
+        (np.eye(1), "observable dimension must be >= 2, got 1"),
     ],
-    ids=["nan", "inf", "unnormalised", "not_a_matrix", "non_square"],
+    ids=["nan", "inf", "unnormalised", "not_a_matrix", "non_square", "dimension_one"],
 )
 def test_observable_takes_an_orthonormal_column_matrix(basis, message):
     with pytest.raises(ValueError, match=message):
