@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from . import __version__
 from .config import (
     ConfigParseError,
     ConfigValidationError,
-    _real,
     load_document,
     scenario_from_document,
     scenario_to_dict,
@@ -81,6 +81,9 @@ def _parser(command: str) -> argparse.ArgumentParser:
     """The command's parser, built from :data:`_COMMANDS` on its first use
     and reused after: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(prog=f"qexpect {command}")
+    # A token read as a negative number, not a flag: Python 3.11's own pattern,
+    # -\d+ or -\d*\.\d+, leaves out the exponent form of "--t -1e-3".
+    parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$", re.IGNORECASE)
     parser.add_argument("config", help="path to a JSON config document")
     for name, options in _COMMANDS[command][1].items():
         parser.add_argument(f"--{name}", **options)
@@ -88,11 +91,11 @@ def _parser(command: str) -> argparse.ArgumentParser:
 
 
 def _cmd_born(opts, out) -> int:
-    doc = load_document(opts.config)
-    section = doc.section("born")
-    psi = doc.state(section.get("state"), "born.state")
-    obs = doc.observable(section.get("observable"), "born.observable")
-    for outcome, p in born_distribution(psi, obs).entries:
+    section = load_document(opts.config).section("born")
+    psi, obs = section.state("state"), section.observable("observable")
+    with section.naming():
+        distribution = born_distribution(psi, obs)
+    for outcome, p in distribution.entries:
         print(f"outcome={fmt(outcome)} probability={fmt(p)}", file=out)
     return 0
 
@@ -102,13 +105,13 @@ def _cmd_evolve(opts, out) -> int:
         raise ConfigValidationError("--grid: need at least 2 samples")
     if not np.isfinite(opts.t):
         raise ConfigValidationError(f"--t: expected a finite number, got {opts.t}")
-    doc = load_document(opts.config)
-    section = doc.section("evolve")
-    psi = doc.state(section.get("state"), "evolve.state")
-    hamiltonian = doc.hamiltonian(section.get("hamiltonian"), "evolve.hamiltonian")
-    obs = doc.observable(section.get("observable"), "evolve.observable")
+    section = load_document(opts.config).section("evolve")
+    psi, hamiltonian = section.state("state"), section.hamiltonian("hamiltonian")
+    obs = section.observable("observable")
     times = np.linspace(0.0, opts.t, opts.grid)
-    grid = np.column_stack([times, evolved_born_grid(psi, hamiltonian, times, obs)])
+    with section.naming():
+        weights = evolved_born_grid(psi, hamiltonian, times, obs)
+    grid = np.column_stack([times, weights])
     row = ",".join(["%.12f"] * grid.shape[1]) + "\n"
     out.write("t," + ",".join(f"p_{o:g}" for o in obs.outcomes) + "\n")
     out.write(_unsigned_zeros((row * len(grid)) % tuple(grid.ravel().tolist())))
@@ -116,15 +119,14 @@ def _cmd_evolve(opts, out) -> int:
 
 
 def _cmd_interference(opts, out) -> int:
-    doc = load_document(opts.config)
-    section = doc.section("interference")
-    psi = doc.state(section.get("state"), "interference.state")
-    target_obs = doc.observable(section.get("target_observable"), "interference.target_observable")
-    if "target_outcome" not in section:
-        raise ConfigValidationError("interference.target_outcome: field is required")
-    partition = doc.observable(section.get("partition"), "interference.partition")
-    target = projector_for(target_obs, _real(section["target_outcome"], "interference.target_outcome"))
-    report = interference_term(psi, target, partition)
+    section = load_document(opts.config).section("interference")
+    psi, target_obs = section.state("state"), section.observable("target_observable")
+    outcome = section.real("target_outcome")
+    partition = section.observable("partition")
+    with section.naming("target_outcome"):
+        target = projector_for(target_obs, outcome)
+    with section.naming():
+        report = interference_term(psi, target, partition)
     print(
         f"p_direct={fmt(report.p_direct)} p_classical={fmt(report.p_classical_sum)} "
         f"IT={fmt(report.interference)}",
@@ -134,15 +136,12 @@ def _cmd_interference(opts, out) -> int:
 
 
 def _cmd_order_effect(opts, out) -> int:
-    doc = load_document(opts.config)
-    section = doc.section("order_effect")
-    psi = doc.state(section.get("state"), "order_effect.state")
-    name_i = section.get("first")
-    name_j = section.get("second")
-    obs_i = doc.observable(name_i, "order_effect.first")
-    obs_j = doc.observable(name_j, "order_effect.second")
-    table_ij = sequential_joint(psi, obs_i, obs_j, first_id=name_i, second_id=name_j)
-    table_ji = sequential_joint(psi, obs_j, obs_i, first_id=name_j, second_id=name_i)
+    section = load_document(opts.config).section("order_effect")
+    psi, obs_i, obs_j = section.state("state"), section.observable("first"), section.observable("second")
+    name_i, name_j = section.raw["first"], section.raw["second"]
+    with section.naming():
+        table_ij = sequential_joint(psi, obs_i, obs_j, first_id=name_i, second_id=name_j)
+        table_ji = sequential_joint(psi, obs_j, obs_i, first_id=name_j, second_id=name_i)
     for tag, table in (("ij", table_ij), ("ji", table_ji)):
         print(f"# order {tag}: {table.first_observable} then {table.second_observable}", file=out)
         for alpha, beta, p in table.rows:
@@ -152,21 +151,17 @@ def _cmd_order_effect(opts, out) -> int:
 
 
 def _cmd_uncertainty(opts, out) -> int:
-    doc = load_document(opts.config)
-    section = doc.section("uncertainty")
-    psi = doc.state(section.get("state"), "uncertainty.state")
-    obs_a = doc.observable(section.get("first"), "uncertainty.first")
-    obs_b = doc.observable(section.get("second"), "uncertainty.second")
-    product, bound = uncertainty_product(psi, obs_a, obs_b)
+    section = load_document(opts.config).section("uncertainty")
+    psi, obs_a, obs_b = section.state("state"), section.observable("first"), section.observable("second")
+    with section.naming():
+        product, bound = uncertainty_product(psi, obs_a, obs_b)
     print(f"delta_product={fmt(product)} robertson_bound={fmt(bound)}", file=out)
     return 0
 
 
 def _cmd_ensemble(opts, out) -> int:
-    doc = load_document(opts.config)
-    section = doc.section("ensemble")
-    psi = doc.state(section.get("state"), "ensemble.state")
-    obs = doc.observable(section.get("observable"), "ensemble.observable")
+    section = load_document(opts.config).section("ensemble")
+    psi, obs = section.state("state"), section.observable("observable")
     population = AgentPopulation(opts.n, psi, "quantum")
     empirical = run_ensemble(population, obs, opts.seed)
     analytic = born_distribution(psi, obs)

@@ -42,41 +42,84 @@ class ConfigDocument:
     states: dict[str, StateVector] = field(default_factory=dict)
     observables: dict[str, Observable] = field(default_factory=dict)
     hamiltonians: dict[str, Hamiltonian] = field(default_factory=dict)
-    sections: dict[str, dict] = field(default_factory=dict)
+    sections: dict[str, Fields] = field(default_factory=dict)
 
-    def state(self, name: str, where: str) -> StateVector:
-        return _lookup(self.states, name, "states", where)
-
-    def observable(self, name: str, where: str) -> Observable:
-        return _lookup(self.observables, name, "observables", where)
-
-    def hamiltonian(self, name: str, where: str) -> Hamiltonian:
-        return _lookup(self.hamiltonians, name, "hamiltonians", where)
-
-    def section(self, name: str) -> dict:
+    def section(self, name: str) -> Fields:
         if name not in self.sections:
             raise ConfigValidationError(f"config has no '{name}' section")
         return self.sections[name]
 
 
-def _lookup(table: dict, name, kind: str, where: str):
-    if not isinstance(name, str):
-        raise ConfigValidationError(f"{where}: expected a {kind} name, got {name!r}")
-    if name not in table:
-        raise ConfigValidationError(f"{where}: unknown {kind} entry {name!r}")
-    return table[name]
+class Fields:
+    """A JSON object read under the name ``where``. Every read names its own
+    field, ``<where>.<key>``, or ``<where>.<key>[i]`` for a list entry, and
+    references resolve against ``doc``."""
 
+    __slots__ = ("raw", "where", "doc")
 
-@contextmanager
-def _naming(where: str):
-    """Re-raise a library ``ValueError`` as a ``ConfigValidationError`` that
-    names ``where``; a ``ConfigValidationError`` already names its field."""
-    try:
-        yield
-    except ConfigValidationError:
-        raise
-    except ValueError as exc:
-        raise ConfigValidationError(f"{where}: {exc}") from exc
+    def __init__(self, raw, where: str, doc: ConfigDocument):
+        if not isinstance(raw, dict):
+            raise ConfigValidationError(f"{where}: expected an object")
+        self.raw, self.where, self.doc = raw, where, doc
+
+    def name(self, key: str) -> str:
+        return f"{self.where}.{key}"
+
+    @contextmanager
+    def naming(self, key: str | None = None):
+        """Re-raise a library ``ValueError`` as a ``ConfigValidationError`` that
+        names this object, or its field ``key``; a ``ConfigValidationError``
+        already names its field."""
+        try:
+            yield
+        except ConfigValidationError:
+            raise
+        except ValueError as exc:
+            raise ConfigValidationError(f"{self.where if key is None else self.name(key)}: {exc}") from exc
+
+    def _entry(self, key: str, table: dict, kind: str):
+        name = self.raw.get(key)
+        if not isinstance(name, str):
+            raise ConfigValidationError(f"{self.name(key)}: expected a {kind} name, got {name!r}")
+        if name not in table:
+            raise ConfigValidationError(f"{self.name(key)}: unknown {kind} entry {name!r}")
+        return table[name]
+
+    def state(self, key: str) -> StateVector:
+        return self._entry(key, self.doc.states, "states")
+
+    def observable(self, key: str) -> Observable:
+        return self._entry(key, self.doc.observables, "observables")
+
+    def hamiltonian(self, key: str) -> Hamiltonian:
+        return self._entry(key, self.doc.hamiltonians, "hamiltonians")
+
+    def real(self, key: str, default: float | None = None) -> float:
+        if key not in self.raw and default is None:
+            raise ConfigValidationError(f"{self.name(key)}: field is required")
+        return _real(self.raw.get(key, default), self.name(key))
+
+    def integer(self, key: str, default: int) -> int:
+        value = self.raw.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigValidationError(f"{self.name(key)}: expected an integer")
+        return value
+
+    def reals(self, key: str, default: list | None = None) -> list[float]:
+        values = self.raw.get(key, default)
+        if not isinstance(values, list):
+            raise ConfigValidationError(f"{self.name(key)}: expected a list, got {values!r}")
+        return [_real(v, f"{self.name(key)}[{i}]") for i, v in enumerate(values)]
+
+    def objects(self, key: str, required: bool = False) -> list[Fields]:
+        """One view per entry of the list at ``key``. A missing list has no
+        entries, unless ``required``, which also refuses an empty one."""
+        entries = self.raw.get(key, [])
+        if required and not (isinstance(entries, list) and entries):
+            raise ConfigValidationError(f"{self.name(key)}: a non-empty list is required")
+        if not isinstance(entries, list):
+            raise ConfigValidationError(f"{self.name(key)}: expected a list")
+        return [Fields(entry, f"{self.name(key)}[{i}]", self.doc) for i, entry in enumerate(entries)]
 
 
 def _complex_scalar(value, where: str) -> complex:
@@ -108,46 +151,29 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
-def _angle(entry: dict, key: str, where: str, default: float | None = None) -> float:
-    if key not in entry:
-        if default is None:
-            raise ConfigValidationError(f"{where}: missing '{key}'")
-        return default
-    value = _real(entry[key], f"{where}.{key}")
-    degrees = entry.get("degrees", False)
+def _angle(entry: Fields, key: str, default: float | None = None) -> float:
+    if key not in entry.raw and default is None:
+        raise ConfigValidationError(f"{entry.where}: missing '{key}'")
+    value = entry.real(key, default)
+    degrees = entry.raw.get("degrees", False)
     if not isinstance(degrees, bool):
-        raise ConfigValidationError(f"{where}.degrees: expected true or false, got {degrees!r}")
-    if degrees:
-        value = math.radians(value)
-    return value
+        raise ConfigValidationError(f"{entry.name('degrees')}: expected true or false, got {degrees!r}")
+    return math.radians(value) if degrees else value
 
 
-def _build_state(value, where: str) -> StateVector:
-    with _naming(where):
-        return StateVector(_complex_vector(value, where))
-
-
-def _eigenvalues(value, where: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ConfigValidationError(f"{where}.eigenvalues: expected a list, got {value!r}")
-    return [_real(v, f"{where}.eigenvalues[{i}]") for i, v in enumerate(value)]
-
-
-def _build_observable(entry, where: str) -> Observable:
-    if not isinstance(entry, dict):
-        raise ConfigValidationError(f"{where}: expected an object")
-    with _naming(where):
-        if "vectors" in entry:
-            vectors = entry["vectors"]
+def _build_observable(entry: Fields) -> Observable:
+    with entry.naming():
+        if "vectors" in entry.raw:
+            vectors = entry.raw["vectors"]
             if not isinstance(vectors, list):
-                raise ConfigValidationError(f"{where}.vectors: expected a list")
-            basis = [_complex_vector(v, f"{where}.vectors[{i}]") for i, v in enumerate(vectors)]
-            if "eigenvalues" not in entry:
-                raise ConfigValidationError(f"{where}: missing 'eigenvalues'")
-            return make_observable(basis, _eigenvalues(entry["eigenvalues"], where))
-        theta = _angle(entry, "angle", where)
-        phi = _angle(entry, "phase", where, default=0.0)
-        values = _eigenvalues(entry.get("eigenvalues", [1.0, -1.0]), where)
+                raise ConfigValidationError(f"{entry.name('vectors')}: expected a list")
+            basis = [_complex_vector(v, f"{entry.name('vectors')}[{i}]") for i, v in enumerate(vectors)]
+            if "eigenvalues" not in entry.raw:
+                raise ConfigValidationError(f"{entry.where}: missing 'eigenvalues'")
+            return make_observable(basis, entry.reals("eigenvalues"))
+        theta = _angle(entry, "angle")
+        phi = _angle(entry, "phase", default=0.0)
+        values = entry.reals("eigenvalues", [1.0, -1.0])
         up = [math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi))]
         down = [-math.sin(theta) * complex(math.cos(phi), -math.sin(phi)), math.cos(theta)]
         return make_observable([up, down], values)
@@ -166,19 +192,16 @@ _PRESETS = {
 }
 
 
-def _build_hamiltonian(entry, where: str) -> Hamiltonian:
-    if not isinstance(entry, dict):
-        raise ConfigValidationError(f"{where}: expected an object")
-    if "matrix" in entry:
-        with _naming(f"{where}.matrix"):
-            return Hamiltonian(_complex_matrix(entry["matrix"], f"{where}.matrix"))
-    preset = entry.get("preset")
+def _build_hamiltonian(entry: Fields) -> Hamiltonian:
+    if "matrix" in entry.raw:
+        with entry.naming("matrix"):
+            return Hamiltonian(_complex_matrix(entry.raw["matrix"], entry.name("matrix")))
+    preset = entry.raw.get("preset")
     if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigValidationError(
-            f"{where}: needs 'matrix' or a 'preset' from {sorted(_PRESETS)}, got {preset!r}"
+            f"{entry.where}: needs 'matrix' or a 'preset' from {sorted(_PRESETS)}, got {preset!r}"
         )
-    omega = _real(entry.get("omega", 1.0), f"{where}.omega")
-    return Hamiltonian(omega * _PRESETS[preset])
+    return Hamiltonian(entry.real("omega", 1.0) * _PRESETS[preset])
 
 
 def load_document(path) -> ConfigDocument:
@@ -209,26 +232,27 @@ def document_from_dict(raw: dict) -> ConfigDocument:
             f"version: expected {CONFIG_VERSION}, got {raw['version']!r}"
         )
     doc = ConfigDocument()
-    for name, value in _named(raw, "states").items():
-        doc.states[name] = _build_state(value, f"states.{name}")
-    for name, value in _named(raw, "observables").items():
-        doc.observables[name] = _build_observable(value, f"observables.{name}")
-    for name, value in _named(raw, "hamiltonians").items():
-        doc.hamiltonians[name] = _build_hamiltonian(value, f"hamiltonians.{name}")
+    states = _named(raw, "states", doc)
+    for name, value in states.raw.items():
+        with states.naming(name):
+            doc.states[name] = StateVector(_complex_vector(value, states.name(name)))
+    observables = _named(raw, "observables", doc)
+    for name, value in observables.raw.items():
+        doc.observables[name] = _build_observable(Fields(value, observables.name(name), doc))
+    hamiltonians = _named(raw, "hamiltonians", doc)
+    for name, value in hamiltonians.raw.items():
+        doc.hamiltonians[name] = _build_hamiltonian(Fields(value, hamiltonians.name(name), doc))
     for key, value in raw.items():
-        if key in ("version", "states", "observables", "hamiltonians"):
-            continue
-        if not isinstance(value, dict):
-            raise ConfigValidationError(f"{key}: expected an object")
-        doc.sections[key] = value
+        if key not in ("version", "states", "observables", "hamiltonians"):
+            doc.sections[key] = Fields(value, key, doc)
     return doc
 
 
-def _named(raw: dict, key: str) -> dict:
+def _named(raw: dict, key: str, doc: ConfigDocument) -> Fields:
     table = raw.get(key, {})
     if not isinstance(table, dict):
         raise ConfigValidationError(f"{key}: expected an object of named entries")
-    return table
+    return Fields(table, key, doc)
 
 
 _DEFAULT_PRICE_OBSERVABLE = {"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "eigenvalues": [1.0, -1.0]}
@@ -238,53 +262,31 @@ def scenario_from_document(doc: ConfigDocument) -> Scenario:
     """Assemble the market scenario from a parsed document, filling defaults
     (seed 0, one period, price 100, impact 0, two-level up/down observable)."""
     section = doc.section("scenario")
-    where = "scenario"
-
-    raw_pops = section.get("populations")
-    if not isinstance(raw_pops, list) or not raw_pops:
-        raise ConfigValidationError(f"{where}.populations: a non-empty list is required")
     populations = []
-    for i, entry in enumerate(raw_pops):
-        pwhere = f"{where}.populations[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigValidationError(f"{pwhere}: expected an object")
-        state = doc.state(entry.get("state"), f"{pwhere}.state")
-        count = entry.get("count", 1)
-        if not isinstance(count, int) or isinstance(count, bool):
-            raise ConfigValidationError(f"{pwhere}.count: expected an integer")
-        with _naming(pwhere):
-            populations.append(AgentPopulation(count, state, entry.get("kind", "quantum")))
+    for entry in section.objects("populations", required=True):
+        state = entry.state("state")
+        count = entry.integer("count", 1)
+        with entry.naming():
+            populations.append(AgentPopulation(count, state, entry.raw.get("kind", "quantum")))
 
-    if "price_observable" in section:
-        price_obs = doc.observable(section["price_observable"], f"{where}.price_observable")
+    if "price_observable" in section.raw:
+        price_obs = section.observable("price_observable")
     else:
-        price_obs = _build_observable(_DEFAULT_PRICE_OBSERVABLE, f"{where}.price_observable")
+        price_obs = _build_observable(Fields(_DEFAULT_PRICE_OBSERVABLE, section.name("price_observable"), doc))
 
     events = []
-    raw_news = section.get("news", [])
-    if not isinstance(raw_news, list):
-        raise ConfigValidationError(f"{where}.news: expected a list")
-    for i, entry in enumerate(raw_news):
-        nwhere = f"{where}.news[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigValidationError(f"{nwhere}: expected an object")
-        hamiltonian = doc.hamiltonian(entry.get("hamiltonian"), f"{nwhere}.hamiltonian")
-        duration = _real(entry.get("duration", 1.0), f"{nwhere}.duration")
-        override = None
-        if "observable" in entry:
-            override = doc.observable(entry["observable"], f"{nwhere}.observable")
-        with _naming(nwhere):
+    for entry in section.objects("news"):
+        hamiltonian = entry.hamiltonian("hamiltonian")
+        duration = entry.real("duration", 1.0)
+        override = entry.observable("observable") if "observable" in entry.raw else None
+        with entry.naming():
             events.append(NewsEvent(hamiltonian, duration, override))
 
-    seed = section.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigValidationError(f"{where}.seed: expected an integer")
-    periods = section.get("periods", 1)
-    if not isinstance(periods, int) or isinstance(periods, bool):
-        raise ConfigValidationError(f"{where}.periods: expected an integer")
-    impact = _real(section.get("impact", 0.0), f"{where}.impact")
-    initial_price = _real(section.get("initial_price", 100.0), f"{where}.initial_price")
-    with _naming(where):
+    seed = section.integer("seed", 0)
+    periods = section.integer("periods", 1)
+    impact = section.real("impact", 0.0)
+    initial_price = section.real("initial_price", 100.0)
+    with section.naming():
         return Scenario(
             seed=seed,
             populations=tuple(populations),

@@ -233,6 +233,8 @@ def make_observable(eigenvectors: Iterable, eigenvalues: Sequence[float]) -> Obs
     (the first vector it rejects raises its message); :class:`Observable`
     checks orthonormality."""
     vectors = [v.amplitudes if isinstance(v, StateVector) else _as_complex_vector(v) for v in eigenvectors]
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError(f"eigenvectors have differing lengths {[len(v) for v in vectors]}")
     rows = np.array(vectors) if vectors else np.empty((0, 0), dtype=complex)
     return Observable(_unit_rows(rows).T, eigenvalues)
 

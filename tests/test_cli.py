@@ -214,10 +214,14 @@ def _evolve_fields(output: str) -> list[list[str]]:
     return [line.split(",") for line in output.splitlines()[1:]]
 
 
-@pytest.mark.parametrize("t", ["-3.5", "-1e-13"], ids=["negative", "negative_zero_times"])
-def test_evolve_fields_are_fmt_of_the_grid_values(t, tmp_path):
+@pytest.mark.parametrize(
+    "t, flag",
+    [("-3.5", ["--t=-3.5"]), ("-1e-13", ["--t=-1e-13"]), ("-1e-13", ["--t", "-1e-13"])],
+    ids=["negative", "negative_zero_times", "exponent_as_its_own_token"],
+)
+def test_evolve_fields_are_fmt_of_the_grid_values(t, flag, tmp_path):
     path = _evolve_config(tmp_path, np.random.default_rng(4), 4, [-1.0, 0.5, 0.5, -1.0])
-    code, output = run_cli("evolve", str(path), f"--t={t}", "--grid", "9")
+    code, output = run_cli("evolve", str(path), *flag, "--grid", "9")
     assert code == 0
     doc = load_document(path)
     times = np.linspace(0.0, float(t), 9)
@@ -277,29 +281,81 @@ def test_a_bad_flag_exits_2_on_every_call(capsys):
 # named errors for malformed config values
 
 
-@pytest.mark.parametrize(
-    "config, path, value, argv, field",
-    [
-        ("basic.json", ("states", "lean_up", 0, 0), float("nan"), ["born"], "states.lean_up"),
-        ("basic.json", ("observables", "price", "eigenvalues"), 5, ["born"], "observables.price.eigenvalues: expected a list"),
-        ("basic.json", ("hamiltonians", "coupling", "preset"), ["rabi"], ["evolve", "--t", "1"], "hamiltonians.coupling"),
-        ("tilted.json", ("interference", "target_outcome"), None, ["interference"], "interference.target_outcome"),
-        ("tilted.json", ("interference", "target_outcome"), [1.0], ["interference"], "interference.target_outcome"),
-    ],
-    ids=["nan_amplitude", "scalar_eigenvalues", "list_preset", "null_target_outcome", "list_target_outcome"],
-)
-def test_malformed_values_exit_1_naming_the_field(config, path, value, argv, field, tmp_path, capsys):
+_MISSING = object()  # the mutation deletes the field
+
+# Every reference a command reads by name: (config, path, argv, table, field).
+_REFERENCES = [
+    ("basic.json", ("evolve", "hamiltonian"), ["evolve", "--t", "1"], "hamiltonians", "evolve.hamiltonian"),
+    ("tilted.json", ("interference", "partition"), ["interference"], "observables", "interference.partition"),
+    ("tilted.json", ("order_effect", "second"), ["order-effect"], "observables", "order_effect.second"),
+    ("basic.json", ("uncertainty", "first"), ["uncertainty"], "observables", "uncertainty.first"),
+    ("basic.json", ("ensemble", "observable"), ["ensemble", "--n", "100"], "observables", "ensemble.observable"),
+    ("market.json", ("scenario", "news", 0, "hamiltonian"), ["simulate-market"], "hamiltonians", "scenario.news[0].hamiltonian"),
+]
+_REFERENCE_CASES = {
+    f"{field}_{tag}": (config, path, value, argv, message)
+    for config, path, argv, table, field in _REFERENCES
+    for tag, value, message in (
+        ("unknown", "ghost", f"{field}: unknown {table} entry 'ghost'"),
+        ("not_a_string", 7, f"{field}: expected a {table} name, got 7"),
+        ("missing", _MISSING, f"{field}: expected a {table} name, got None"),
+    )
+}
+_MALFORMED_VALUES = {
+    "nan_amplitude": ("basic.json", ("states", "lean_up", 0, 0), float("nan"), ["born"], "states.lean_up[0][0]: expected a finite number, got nan"),
+    "scalar_eigenvalues": ("basic.json", ("observables", "price", "eigenvalues"), 5, ["born"], "observables.price.eigenvalues: expected a list, got 5"),
+    "list_preset": (
+        "basic.json", ("hamiltonians", "coupling", "preset"), ["rabi"], ["evolve", "--t", "1"],
+        "hamiltonians.coupling: needs 'matrix' or a 'preset' from ['rabi', 'splitting', 'zero'], got ['rabi']",
+    ),
+    "null_target_outcome": ("tilted.json", ("interference", "target_outcome"), None, ["interference"], "interference.target_outcome: expected a number, got None"),
+    "list_target_outcome": ("tilted.json", ("interference", "target_outcome"), [1.0], ["interference"], "interference.target_outcome: expected a number, got [1.0]"),
+    **_REFERENCE_CASES,
+    "fractional_count": ("market.json", ("scenario", "populations", 0, "count"), 2.5, ["simulate-market"], "scenario.populations[0].count: expected an integer"),
+    "news_object": ("market.json", ("scenario", "news"), {}, ["simulate-market"], "scenario.news: expected a list"),
+    "ragged_vectors": (
+        "basic.json", ("observables", "price"), {"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]], "eigenvalues": [1, -1]}, ["born"],
+        "observables.price: eigenvectors have differing lengths [2, 3]",
+    ),
+    "outcome_not_an_eigenvalue": (
+        "tilted.json", ("interference", "target_outcome"), 2.5, ["interference"],
+        "interference.target_outcome: outcome 2.5 is not an eigenvalue of the observable",
+    ),
+    "uncertainty_overflow": (
+        "basic.json", ("observables", "diagonal_45", "eigenvalues", 0), 1e308, ["uncertainty"],
+        "uncertainty: uncertainty product overflows: observable eigenvalues are too large",
+    ),
+    **{
+        f"{command}_dimension_mismatch": ("tilted.json", ("states", "up"), [[1, 0], [0, 0], [0, 0]], [command], f"{section}: {message}")
+        for command, section, message in (
+            ("born", "born", "dimension mismatch: state 3 vs observable 2"),
+            ("interference", "interference", "dimension mismatch between state, target and partition"),
+            ("order-effect", "order_effect", "dimension mismatch between state and observables"),
+        )
+    },
+    "propagator_overflow": (
+        "basic.json", ("hamiltonians", "coupling", "omega"), 1e308, ["evolve", "--t", "-2.5"],
+        "evolve: propagator phase energy * t is not finite: Hamiltonian or time too large",
+    ),
+}
+
+
+@pytest.mark.parametrize("config, path, value, argv, message", list(_MALFORMED_VALUES.values()), ids=list(_MALFORMED_VALUES))
+def test_malformed_values_exit_1_naming_the_field(config, path, value, argv, message, tmp_path, capsys):
     raw = json.loads((CONFIGS / config).read_text(encoding="utf-8"))
     target = raw
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is _MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     bad = tmp_path / config
     bad.write_text(json.dumps(raw), encoding="utf-8")
     code, output = run_cli(argv[0], str(bad), *argv[1:])
     assert code == 1
     assert output == ""
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "integer", "null"])

@@ -343,6 +343,8 @@ _READERS = {
     "market.json": (["simulate-market"],),
 }
 _NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+# a validation error names its field: the text before its first ": " is one word
+_NAMED = re.compile(r"validation error: ([^ :]+: |config has no '\w+' section\n$)")
 
 
 def _node_paths(node, prefix=()):
@@ -371,7 +373,7 @@ def test_mutated_configs_give_a_named_error_or_finite_output(name, tmp_path):
     """Every node of a shipped config, set to NaN, +-Inf, +-1e308, 1e300,
     10**400, a string, null, [], {} or true, or dropped, must make each
     command that reads the file exit 1 or 2, or exit 0 with no nan/inf on
-    stdout; never raise."""
+    stdout; never raise. A validation error names the field it rejects."""
     raw = json.loads((CONFIG_DIR / name).read_text(encoding="utf-8"))
     path = tmp_path / name
     failures = []
@@ -379,13 +381,16 @@ def test_mutated_configs_give_a_named_error_or_finite_output(name, tmp_path):
         for value in _MUTATIONS:
             path.write_text(json.dumps(_mutate(raw, node, value)), encoding="utf-8")
             for command, *options in _READERS[name]:
-                out = io.StringIO()
-                with contextlib.redirect_stderr(io.StringIO()):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stderr(err):
                     try:
                         code = main([command, str(path), *options], out=out)
                     except Exception as exc:
                         failures.append(f"{node} = {value!r}: {command} raised {type(exc).__name__}: {exc}")
                         continue
+                if err.getvalue().startswith("validation error: ") and not _NAMED.match(err.getvalue()):
+                    failures.append(f"{node} = {value!r}: {command} named no field: {err.getvalue()!r}")
+                    continue
                 if code in (1, 2) or (code == 0 and not _NON_FINITE.search(out.getvalue())):
                     continue
                 failures.append(f"{node} = {value!r}: {command} exited {code} with {out.getvalue()[:80]!r}")

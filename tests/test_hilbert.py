@@ -178,6 +178,7 @@ _MAKE_OBSERVABLE_REJECTS = {
     "non-square basis": ([[1, 0, 0], [0, 1, 0]], [1.0, -1.0, 0.0], "need 3 eigenvectors for dimension 3, got 2"),
     "no vectors": ([], [], "observable needs at least one eigenvector"),
     "dimension one": ([[1]], [1.0], "state dimension must be >= 2, got 1"),
+    "ragged vectors": ([[1, 0], [0, 1, 0]], _UP_DOWN, "eigenvectors have differing lengths [2, 3]"),
     "vector not 1-d": ([np.eye(2), np.eye(2)], _UP_DOWN, "state amplitudes must be a 1-d sequence, got shape (2, 2)"),
     "too few eigenvalues": (np.eye(2), [1.0], "need 2 eigenvalues for dimension 2, got 1"),
     "nan eigenvalue": (np.eye(2), [1.0, np.nan], "observable eigenvalues must be finite, got (1.0, nan)"),
