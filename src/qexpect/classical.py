@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .hilbert import check_probabilities
+
 PARTITION_TOL = 1e-9
 
 
@@ -36,13 +38,10 @@ class ClassicalConditionalModel:
             )
         if not probs:
             raise ValueError("partition must contain at least one event")
-        total = sum(probs)
-        if not abs(total - 1.0) <= PARTITION_TOL:
-            raise ValueError(f"partition probabilities sum to {total}, not 1")
+        check_probabilities("partition probabilities", probs, PARTITION_TOL)
         if not all(p > 0.0 for p in probs):
             raise ValueError("every partition event needs strictly positive probability")
-        if not all(-1e-12 <= c <= 1.0 + 1e-12 for c in conds):
-            raise ValueError("conditional probabilities must lie in [0, 1]")
+        check_probabilities("conditional probabilities", conds)
         object.__setattr__(self, "partition_probs", probs)
         object.__setattr__(self, "conditionals", conds)
 
@@ -64,12 +63,8 @@ def bayes_update(prior: Sequence[float], likelihoods: Sequence[float]) -> np.nda
     like_arr = np.asarray(likelihoods, dtype=float)
     if prior_arr.shape != like_arr.shape:
         raise ValueError(f"prior shape {prior_arr.shape} vs likelihoods {like_arr.shape}")
-    if not abs(prior_arr.sum() - 1.0) <= PARTITION_TOL:
-        raise ValueError(f"prior sums to {prior_arr.sum()}, not 1")
-    if not np.all((prior_arr >= -1e-12) & (prior_arr <= 1.0 + 1e-12)):
-        raise ValueError("prior entries must lie in [0, 1]")
-    if not np.all((like_arr >= -1e-12) & (like_arr <= 1.0 + 1e-12)):
-        raise ValueError("likelihoods must lie in [0, 1]")
+    check_probabilities("prior entries", prior_arr.ravel().tolist(), PARTITION_TOL)
+    check_probabilities("likelihoods", like_arr.ravel().tolist())
     joint = prior_arr * like_arr
     evidence = joint.sum()
     if not evidence > 0.0:

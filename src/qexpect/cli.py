@@ -163,8 +163,9 @@ def _cmd_ensemble(opts, out) -> int:
     section = load_document(opts.config).section("ensemble")
     psi, obs = section.state("state"), section.observable("observable")
     population = AgentPopulation(opts.n, psi, "quantum")
+    with section.naming():
+        analytic = born_distribution(psi, obs)
     empirical = run_ensemble(population, obs, opts.seed)
-    analytic = born_distribution(psi, obs)
     print("outcome,empirical,analytic,deviation", file=out)
     for (outcome, freq), (_, p) in zip(empirical.entries, analytic.entries):
         print(f"{fmt(outcome)},{fmt(freq)},{fmt(p)},{fmt(abs(freq - p))}", file=out)
@@ -196,8 +197,7 @@ def _cmd_simulate_market(opts, out) -> int:
 
     csv_text = _price_csv(path)
     if opts.csv:
-        with open(opts.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write(csv_text)
+        _write_file("csv", opts.csv, csv_text)
     else:
         out.write(csv_text)
 
@@ -209,9 +209,16 @@ def _cmd_simulate_market(opts, out) -> int:
             results={"price_path": dataclasses.asdict(path)},
             duration_seconds=duration,
         )
-        with open(opts.report, "w", encoding="utf-8", newline="") as handle:
-            handle.write(report.to_json())
+        _write_file("report", opts.report, report.to_json())
     return 0
+
+
+def _write_file(flag: str, path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigValidationError(f"--{flag}: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # command -> (handler, its options beyond the config path)

@@ -94,10 +94,13 @@ class Fields:
     def hamiltonian(self, key: str) -> Hamiltonian:
         return self._entry(key, self.doc.hamiltonians, "hamiltonians")
 
-    def real(self, key: str, default: float | None = None) -> float:
+    def _get(self, key: str, default):
         if key not in self.raw and default is None:
             raise ConfigValidationError(f"{self.name(key)}: field is required")
-        return _real(self.raw.get(key, default), self.name(key))
+        return self.raw.get(key, default)
+
+    def real(self, key: str, default: float | None = None) -> float:
+        return _real(self._get(key, default), self.name(key))
 
     def integer(self, key: str, default: int) -> int:
         value = self.raw.get(key, default)
@@ -106,7 +109,7 @@ class Fields:
         return value
 
     def reals(self, key: str, default: list | None = None) -> list[float]:
-        values = self.raw.get(key, default)
+        values = self._get(key, default)
         if not isinstance(values, list):
             raise ConfigValidationError(f"{self.name(key)}: expected a list, got {values!r}")
         return [_real(v, f"{self.name(key)}[{i}]") for i, v in enumerate(values)]
@@ -152,8 +155,6 @@ def _real(value, where: str) -> float:
 
 
 def _angle(entry: Fields, key: str, default: float | None = None) -> float:
-    if key not in entry.raw and default is None:
-        raise ConfigValidationError(f"{entry.where}: missing '{key}'")
     value = entry.real(key, default)
     degrees = entry.raw.get("degrees", False)
     if not isinstance(degrees, bool):
@@ -168,8 +169,6 @@ def _build_observable(entry: Fields) -> Observable:
             if not isinstance(vectors, list):
                 raise ConfigValidationError(f"{entry.name('vectors')}: expected a list")
             basis = [_complex_vector(v, f"{entry.name('vectors')}[{i}]") for i, v in enumerate(vectors)]
-            if "eigenvalues" not in entry.raw:
-                raise ConfigValidationError(f"{entry.where}: missing 'eigenvalues'")
             return make_observable(basis, entry.reals("eigenvalues"))
         theta = _angle(entry, "angle")
         phi = _angle(entry, "phase", default=0.0)
@@ -209,7 +208,7 @@ def load_document(path) -> ConfigDocument:
     constructor of its type, and an error names the field."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -232,27 +231,20 @@ def document_from_dict(raw: dict) -> ConfigDocument:
             f"version: expected {CONFIG_VERSION}, got {raw['version']!r}"
         )
     doc = ConfigDocument()
-    states = _named(raw, "states", doc)
+    states = Fields(raw.get("states", {}), "states", doc)
     for name, value in states.raw.items():
         with states.naming(name):
             doc.states[name] = StateVector(_complex_vector(value, states.name(name)))
-    observables = _named(raw, "observables", doc)
+    observables = Fields(raw.get("observables", {}), "observables", doc)
     for name, value in observables.raw.items():
         doc.observables[name] = _build_observable(Fields(value, observables.name(name), doc))
-    hamiltonians = _named(raw, "hamiltonians", doc)
+    hamiltonians = Fields(raw.get("hamiltonians", {}), "hamiltonians", doc)
     for name, value in hamiltonians.raw.items():
         doc.hamiltonians[name] = _build_hamiltonian(Fields(value, hamiltonians.name(name), doc))
     for key, value in raw.items():
         if key not in ("version", "states", "observables", "hamiltonians"):
             doc.sections[key] = Fields(value, key, doc)
     return doc
-
-
-def _named(raw: dict, key: str, doc: ConfigDocument) -> Fields:
-    table = raw.get(key, {})
-    if not isinstance(table, dict):
-        raise ConfigValidationError(f"{key}: expected an object of named entries")
-    return Fields(table, key, doc)
 
 
 _DEFAULT_PRICE_OBSERVABLE = {"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "eigenvalues": [1.0, -1.0]}

@@ -33,6 +33,34 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_probabilities(name: str, values: Sequence[float], sum_tol: float | None = None) -> None:
+    """The one rule of a probability table: every value lies in [0, 1] up to
+    1e-12 and, given ``sum_tol``, they sum to 1 within it; NaN fails both.
+    Plain floats, since it runs once per market period."""
+    for p in values:
+        if not -1e-12 <= p <= 1.0 + 1e-12:
+            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    if sum_tol is not None and not abs(sum(values) - 1.0) <= sum_tol:
+        raise ValueError(f"{name} sum to {sum(values)}, not 1")
+
+
+def _hermitian(matrix, kind: str) -> np.ndarray:
+    """``matrix`` as a frozen complex array, once it is checked to be square,
+    non-empty, finite and within INPUT_TOL of its conjugate transpose."""
+    mat = np.asarray(matrix, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"{kind} must be a square matrix, got shape {mat.shape}")
+    if not mat.size:
+        raise ValueError(f"{kind} must have at least one entry")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{kind} entries must be finite")
+    dev = np.abs(mat - mat.conj().T)
+    if not dev.max() <= INPUT_TOL:
+        i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+        raise ValueError(f"{kind} is not Hermitian: entry ({i},{j}) deviates by {dev[i, j]:.3e}")
+    return _frozen(mat)
+
+
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Each row of an ``(n, d)`` amplitude array over its norm; the first row that is
     not a state raises. The one rule of :class:`StateVector` and :func:`make_observable`."""
@@ -87,16 +115,10 @@ class Projector:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"projector must be a square matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("projector entries must be finite")
-        if not np.allclose(mat, mat.conj().T, atol=INPUT_TOL):
-            raise ValueError("projector is not Hermitian")
-        if not np.allclose(mat @ mat, mat, atol=INPUT_TOL):
+        mat = _hermitian(self.matrix, "projector")
+        if not np.abs(mat @ mat - mat).max() <= INPUT_TOL:
             raise ValueError("projector is not idempotent")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "Projector":
@@ -202,18 +224,7 @@ class Hamiltonian:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"Hamiltonian must be a square matrix, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("Hamiltonian entries must be finite")
-        dev = np.abs(mat - mat.conj().T)
-        if dev.max() > INPUT_TOL:
-            i, j = np.unravel_index(int(dev.argmax()), dev.shape)
-            raise ValueError(
-                f"Hamiltonian is not Hermitian: entry ({i},{j}) deviates by {dev[i, j]:.3e}"
-            )
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", _hermitian(self.matrix, "Hamiltonian"))
 
     @property
     def dim(self) -> int:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .classical import classical_agent_step
-from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, propagator
+from .classical import bayes_update
+from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, check_probabilities, propagator
 from .measurement import (
     ZERO_BRANCH_TOL,
     ImpossibleOutcomeError,
@@ -95,10 +95,7 @@ class PeriodRecord:
     down_fraction: float
 
     def __post_init__(self) -> None:
-        if not abs(self.up_fraction + self.down_fraction - 1.0) <= 1e-12:
-            raise ValueError("up and down fractions must sum to 1")
-        if not (-1e-12 <= self.up_fraction <= 1.0 + 1e-12 and -1e-12 <= self.down_fraction <= 1.0 + 1e-12):
-            raise ValueError(f"up and down fractions {self.up_fraction}, {self.down_fraction} must lie in [0, 1]")
+        check_probabilities("up and down fractions", (self.up_fraction, self.down_fraction), 1e-12)
         if not (self.price > 0 and math.isfinite(self.price)):
             raise ValueError(f"price must be positive and finite, got {self.price}")
 
@@ -392,7 +389,7 @@ class _ClassicalCohort:
         """Bayes-update on the news likelihoods, if any, then sample from
         ``bits``; returns each agent's outcome index."""
         if news.likelihoods is not None:
-            self.belief, _ = classical_agent_step(self.belief, news.likelihoods, news.layout.outcomes)
+            self.belief = bayes_update(self.belief, news.likelihoods)
         return _draw_outcomes(bits, np.cumsum(self.belief), self.count)
 
 

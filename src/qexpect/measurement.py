@@ -18,6 +18,7 @@ from .hilbert import (
     Observable,
     Projector,
     StateVector,
+    check_probabilities,
     inner_product,
     propagator,
 )
@@ -40,14 +41,10 @@ class OutcomeDistribution:
 
     def __post_init__(self) -> None:
         entries = tuple((float(o), float(p)) for o, p in self.entries)
-        total = sum(p for _, p in entries)
-        if not abs(total - 1.0) <= INVARIANT_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        for outcome, p in entries:
+        for outcome, _ in entries:
             if not math.isfinite(outcome):
                 raise ValueError(f"outcome label {outcome} is not finite")
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"probability {p} for outcome {outcome} outside [0, 1]")
+        check_probabilities("probabilities", [p for _, p in entries], INVARIANT_TOL)
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -75,14 +72,10 @@ class JointTable:
 
     def __post_init__(self) -> None:
         rows = tuple((float(a), float(b), float(p)) for a, b, p in self.rows)
-        total = sum(p for _, _, p in rows)
-        if not abs(total - 1.0) <= INVARIANT_TOL:
-            raise ValueError(f"joint probabilities sum to {total}, not 1")
-        for a, b, p in rows:
+        for a, b, _ in rows:
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError(f"outcome labels ({a}, {b}) are not finite")
-            if not -1e-12 <= p <= 1.0 + 1e-12:
-                raise ValueError(f"probability {p} for pair ({a}, {b}) outside [0, 1]")
+        check_probabilities("joint probabilities", [p for _, _, p in rows], INVARIANT_TOL)
         object.__setattr__(self, "rows", rows)
 
     def probability(self, alpha: float, beta: float) -> float:

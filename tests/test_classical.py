@@ -40,6 +40,39 @@ def test_mismatched_lengths_rejected():
         ClassicalConditionalModel((0.5, 0.5), (0.1,))
 
 
+# Each rejected input of the classical constructors and updates, with its exact message.
+_REJECTS = {
+    "empty partition": (lambda: ClassicalConditionalModel((), ()), "partition must contain at least one event"),
+    "partition off by 2^-20": (
+        lambda: ClassicalConditionalModel((0.5, 0.5 + 2**-20), (0.1, 0.2)),
+        "partition probabilities sum to 1.0000009536743164, not 1",
+    ),
+    "partition entry above 1": (
+        lambda: ClassicalConditionalModel((1.2, -0.2), (0.1, 0.2)),
+        "partition probabilities must lie in [0, 1], got 1.2",
+    ),
+    "conditional above 1": (
+        lambda: ClassicalConditionalModel((0.5, 0.5), (1.3, 0.2)),
+        "conditional probabilities must lie in [0, 1], got 1.3",
+    ),
+    "prior of another shape": (lambda: bayes_update([0.5, 0.5], [0.5, 0.5, 0.5]), "prior shape (2,) vs likelihoods (3,)"),
+    "prior off by 2^-20": (lambda: bayes_update([0.5, 0.5 + 2**-20], [0.5, 0.5]), "prior entries sum to 1.0000009536743164, not 1"),
+    "negative likelihood": (lambda: bayes_update([0.5, 0.5], [0.5, -0.1]), "likelihoods must lie in [0, 1], got -0.1"),
+    "belief of another length": (
+        lambda: classical_agent_step([0.5, 0.5], [0.5, 0.5], [1.0, 0.0, -1.0]),
+        "2 belief entries but 3 outcomes",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_REJECTS))
+def test_classical_rejects_with_its_message(name):
+    build, message = _REJECTS[name]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # total_probability
 

@@ -337,6 +337,26 @@ _MALFORMED_VALUES = {
         "basic.json", ("hamiltonians", "coupling", "omega"), 1e308, ["evolve", "--t", "-2.5"],
         "evolve: propagator phase energy * t is not finite: Hamiltonian or time too large",
     ),
+    "ensemble_dimension_mismatch": (
+        "basic.json", ("states", "lean_up"), [[1, 0], [0, 0], [0, 0]], ["ensemble", "--n", "100"],
+        "ensemble: dimension mismatch: state 3 vs observable 2",
+    ),
+    "missing_angle": ("basic.json", ("observables", "price", "angle"), _MISSING, ["born"], "observables.price.angle: field is required"),
+    "missing_eigenvalues": (
+        "basic.json", ("observables", "price"), {"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, ["born"],
+        "observables.price.eigenvalues: field is required",
+    ),
+    "vectors_not_a_list": ("basic.json", ("observables", "price"), {"vectors": 5, "eigenvalues": [1, -1]}, ["born"], "observables.price.vectors: expected a list"),
+    "states_not_an_object": ("basic.json", ("states",), [], ["born"], "states: expected an object"),
+    "hamiltonians_not_an_object": ("basic.json", ("hamiltonians",), "rabi", ["evolve", "--t", "1"], "hamiltonians: expected an object"),
+    "empty_matrix": (
+        "basic.json", ("hamiltonians", "coupling"), {"matrix": []}, ["evolve", "--t", "1"],
+        "hamiltonians.coupling.matrix: expected a non-empty list of rows",
+    ),
+    "ragged_matrix": (
+        "basic.json", ("hamiltonians", "coupling"), {"matrix": [[[0, 0], [1, 0]], [[1, 0]]]}, ["evolve", "--t", "1"],
+        "hamiltonians.coupling.matrix: rows have differing lengths",
+    ),
 }
 
 
@@ -356,6 +376,28 @@ def test_malformed_values_exit_1_naming_the_field(config, path, value, argv, mes
     assert code == 1
     assert output == ""
     assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+# A flag value the command cannot use: (argv after the config, message with {tmp} for a scratch directory).
+_BAD_FLAG_VALUES = {
+    "grid_1": (["evolve", "--t", "1", "--grid", "1"], "--grid: need at least 2 samples"),
+    "csv_in_a_missing_directory": (
+        ["simulate-market", "--csv", "{tmp}/absent/path.csv"], "--csv: cannot write {tmp}/absent/path.csv: No such file or directory",
+    ),
+    "report_is_a_directory": (
+        ["simulate-market", "--csv", "{tmp}/path.csv", "--report", "{tmp}"], "--report: cannot write {tmp}: Is a directory",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", list(_BAD_FLAG_VALUES.values()), ids=list(_BAD_FLAG_VALUES))
+def test_bad_flag_values_exit_1_naming_the_flag(argv, message, tmp_path, capsys):
+    config = "market.json" if argv[0] == "simulate-market" else "basic.json"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, output = run_cli(argv[0], str(CONFIGS / config), *argv[1:])
+    assert code == 1
+    assert output == ""
+    assert capsys.readouterr().err == f"validation error: {message.format(tmp=tmp_path)}\n"
 
 
 @pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "integer", "null"])

@@ -88,6 +88,28 @@ def test_unreadable_json_values_are_a_parse_error_naming_the_file(text, reason, 
     assert err.getvalue().startswith(f"parse error: malformed JSON in {path}: ")
 
 
+def test_a_config_that_is_not_utf8_is_a_parse_error_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": 1, "states": {"caf\xe9": [[1, 0], [0, 0]]}}')
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["born", str(path)], out=io.StringIO())
+    assert code == 2
+    assert err.getvalue() == (
+        f"parse error: cannot read config {path}: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 30: invalid continuation byte\n"
+    )
+
+
+@pytest.mark.parametrize("root", [[], 1, "text", None], ids=["list", "number", "string", "null"])
+def test_the_config_root_must_be_an_object(root, tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["born", str(write_config(tmp_path, root))], out=io.StringIO())
+    assert code == 1
+    assert err.getvalue() == "validation error: config root must be a JSON object\n"
+
+
 def test_version_field_is_required():
     with pytest.raises(ConfigValidationError, match="version"):
         document_from_dict({"states": {}})

@@ -420,6 +420,36 @@ def test_non_hermitian_hamiltonian_rejected():
         Hamiltonian([[0, 1], [0, 0]])
 
 
+# Hamiltonian and Projector share one rule for a finite Hermitian matrix;
+# each input with the exact message of its rejection.
+_ASYMMETRIC = [[0.5, 0.5 + 1e-6], [0.5, 0.5]]  # within np.allclose's rtol, 1e-6 off Hermitian
+_HERMITIAN_REJECTS = {
+    "projector off hermitian by 1e-6": (Projector, _ASYMMETRIC, "projector is not Hermitian: entry (0,1) deviates by 1.000e-06"),
+    "hamiltonian off hermitian by 1e-6": (Hamiltonian, _ASYMMETRIC, "Hamiltonian is not Hermitian: entry (0,1) deviates by 1.000e-06"),
+    "hamiltonian off hermitian by 1.01e-8": (Hamiltonian, [[0, 1.01e-8], [0, 0]], "Hamiltonian is not Hermitian: entry (0,1) deviates by 1.010e-08"),
+    "empty projector": (Projector, np.zeros((0, 0)), "projector must have at least one entry"),
+    "empty hamiltonian": (Hamiltonian, np.zeros((0, 0)), "Hamiltonian must have at least one entry"),
+    "non-square projector": (Projector, np.zeros((2, 3)), "projector must be a square matrix, got shape (2, 3)"),
+    "hamiltonian not a matrix": (Hamiltonian, np.zeros(2), "Hamiltonian must be a square matrix, got shape (2,)"),
+    "nan projector": (Projector, [[np.nan, 0], [0, 0]], "projector entries must be finite"),
+    "projector off idempotent by 1.01e-8": (Projector, np.diag([1 + 1.01e-8, 0.0]), "projector is not idempotent"),
+}
+
+
+@pytest.mark.parametrize("name", list(_HERMITIAN_REJECTS))
+def test_hermitian_matrices_reject_with_their_message(name):
+    build, matrix, message = _HERMITIAN_REJECTS[name]
+    with pytest.raises(ValueError) as info:
+        build(matrix)
+    assert str(info.value) == message
+
+
+def test_hermitian_matrices_accept_a_deviation_of_1e_8():
+    Hamiltonian([[0, 0.99e-8], [0, 0]])
+    Projector(np.diag([1 + 0.99e-8, 0.0]))
+    Projector([[0.5, 0.5 + 0.99e-8], [0.5, 0.5]])
+
+
 def test_evolve_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         evolve(StateVector([1, 0, 0]), Hamiltonian(np.eye(2)), 1.0)

@@ -712,6 +712,43 @@ def test_scenario_rejects_dimension_mismatch():
         scenario(populations=(AgentPopulation(5, StateVector([1, 0, 0]), "quantum"),))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"news": NewsSchedule((NewsEvent(RABI, 0.4, make_observable(np.eye(3), [1.0, -1.0, -1.0])),))},
+            "observable override dimension does not match scenario",
+        ),
+        (
+            {"populations": (AgentPopulation(5, StateVector([1, 0, 0]), "quantum"),)},
+            "population state dimension 3 does not match price observable dimension 2",
+        ),
+    ],
+    ids=["news_override", "population_state"],
+)
+def test_scenario_names_a_dimension_mismatch(overrides, message):
+    with pytest.raises(ValueError) as info:
+        scenario(**overrides)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (
+            lambda pop: run_ensemble(pop, PRICE, 1),
+            "run_ensemble expects a quantum population; classical agents use the classical_agent_step pipeline",
+        ),
+        (lambda pop: run_sequential_ensemble(pop, PRICE, TILTED), "run_sequential_ensemble expects a quantum population"),
+    ],
+    ids=["ensemble", "sequential_ensemble"],
+)
+def test_ensembles_reject_a_classical_population(run, message):
+    with pytest.raises(ValueError) as info:
+        run(AgentPopulation(10, PLUS, "classical"))
+    assert str(info.value) == message
+
+
 def test_scenario_requires_populations():
     with pytest.raises(ValueError):
         scenario(populations=())

@@ -542,6 +542,27 @@ def test_public_constructors_fail_closed_out_of_range(build):
         build()
 
 
+# Every probability table keeps one rule: each value in [0, 1] up to 1e-12,
+# and the sum within the table's own tolerance of 1.
+_TABLE_REJECTS = {
+    "distribution entry": (lambda: OutcomeDistribution(((1, 1.5), (-1, -0.5))), "probabilities must lie in [0, 1], got 1.5"),
+    "distribution sum": (lambda: OutcomeDistribution(((1, 0.5), (-1, 0.25))), "probabilities sum to 0.75, not 1"),
+    "distribution label": (lambda: OutcomeDistribution(((NAN, 1.0),)), "outcome label nan is not finite"),
+    "joint entry": (lambda: JointTable("a", "b", ((1, 1, NAN),)), "joint probabilities must lie in [0, 1], got nan"),
+    "joint sum": (lambda: JointTable("a", "b", ((1, 1, 1.0), (1, -1, 2e-10))), "joint probabilities sum to 1.0000000002, not 1"),
+    "period fraction": (lambda: PeriodRecord(100, 2.0, -1.0), "up and down fractions must lie in [0, 1], got 2.0"),
+    "period sum": (lambda: PeriodRecord(100, 0.5, 0.5 + 2**-38), "up and down fractions sum to 1.000000000003638, not 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_REJECTS))
+def test_probability_tables_reject_with_their_message(name):
+    build, message = _TABLE_REJECTS[name]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # uncertainty_product
 
