@@ -128,6 +128,8 @@ def test_five_sigma_binomial_bound():
 def test_classical_population_rejected():
     with pytest.raises(ValueError, match="classical"):
         run_ensemble(AgentPopulation(10, PLUS, "classical"), PRICE, 1)
+    with pytest.raises(ValueError, match="^run_sequential_ensemble expects a quantum population$"):
+        run_sequential_ensemble(AgentPopulation(10, PLUS, "classical"), PRICE, TILTED)
 
 
 def test_ensemble_matches_per_agent_streams():
@@ -351,6 +353,25 @@ def test_market_matches_per_agent_reference(name):
     sc = scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
     path = run_market(sc)
     assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
+
+
+def test_classical_cohort_matches_its_bayes_reference():
+    """A classical agent is up in a period exactly when its own draw falls
+    below the cohort's Bayes-updated up probability, taken from the mean-field
+    oracle. In d = 3 with a rank-2 outcome the news likelihoods differ between
+    outcomes, so the belief moves; in d = 2 they are always equal."""
+    sc = scenario(
+        populations=(AgentPopulation(300, StateVector([0.5, 0.5, np.sqrt(0.5)]), "classical"),),
+        price_observable=DEGENERATE,
+        news=NewsSchedule((NewsEvent(COUPLING_3, 0.6),)),
+        periods=8,
+    )
+    n = sc.total_agents
+    beliefs = [mean / n for mean, _ in mean_field_moments(sc)]
+    assert max(beliefs) - min(beliefs) > 0.05
+    for period, (record, p_up) in enumerate(zip(run_market(sc).periods, beliefs)):
+        ups = sum(agent_stream(sc.seed, i, period).random() < p_up for i in range(n))
+        assert record.up_fraction == ups / n
 
 
 def test_words_within_a_philox_block_are_independent(monkeypatch):
@@ -710,43 +731,9 @@ def test_classical_population_rejects_an_override_of_other_outcomes():
 def test_scenario_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         scenario(populations=(AgentPopulation(5, StateVector([1, 0, 0]), "quantum"),))
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        (
-            {"news": NewsSchedule((NewsEvent(RABI, 0.4, make_observable(np.eye(3), [1.0, -1.0, -1.0])),))},
-            "observable override dimension does not match scenario",
-        ),
-        (
-            {"populations": (AgentPopulation(5, StateVector([1, 0, 0]), "quantum"),)},
-            "population state dimension 3 does not match price observable dimension 2",
-        ),
-    ],
-    ids=["news_override", "population_state"],
-)
-def test_scenario_names_a_dimension_mismatch(overrides, message):
-    with pytest.raises(ValueError) as info:
-        scenario(**overrides)
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "run, message",
-    [
-        (
-            lambda pop: run_ensemble(pop, PRICE, 1),
-            "run_ensemble expects a quantum population; classical agents use the classical_agent_step pipeline",
-        ),
-        (lambda pop: run_sequential_ensemble(pop, PRICE, TILTED), "run_sequential_ensemble expects a quantum population"),
-    ],
-    ids=["ensemble", "sequential_ensemble"],
-)
-def test_ensembles_reject_a_classical_population(run, message):
-    with pytest.raises(ValueError) as info:
-        run(AgentPopulation(10, PLUS, "classical"))
-    assert str(info.value) == message
+    three = make_observable(np.eye(3), [1.0, -1.0, -1.0])
+    with pytest.raises(ValueError, match="^observable override dimension does not match scenario$"):
+        scenario(news=NewsSchedule((NewsEvent(RABI, 0.4, three),)))
 
 
 def test_scenario_requires_populations():
