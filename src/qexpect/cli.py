@@ -183,25 +183,23 @@ def _price_csv(path: PricePath) -> str:
 
 
 def _cmd_simulate_market(opts, out) -> int:
+    """Write each requested file first and stdout last, so a file that cannot
+    be written leaves stdout empty; a halted run's partial CSV goes wherever
+    the whole one would, and it writes no report."""
     scenario = scenario_from_document(load_document(opts.config))
     if opts.seed is not None:
         scenario = dataclasses.replace(scenario, seed=opts.seed)
     started = time.perf_counter()
     try:
-        path = run_market(scenario)
-    except SimulationHalt as halt:
-        sys.stderr.write(f"error: {halt}\n")
-        out.write(_price_csv(halt.partial_path))
-        return 1
+        path, halt = run_market(scenario), None
+    except SimulationHalt as exc:
+        path, halt = exc.partial_path, exc
     duration = time.perf_counter() - started
 
     csv_text = _price_csv(path)
     if opts.csv:
         _write_file("csv", opts.csv, csv_text)
-    else:
-        out.write(csv_text)
-
-    if opts.report:
+    if opts.report and halt is None:
         report = RunReport(
             config=scenario_to_dict(scenario),
             seed=scenario.seed,
@@ -210,7 +208,11 @@ def _cmd_simulate_market(opts, out) -> int:
             duration_seconds=duration,
         )
         _write_file("report", opts.report, report.to_json())
-    return 0
+    if halt is not None:
+        sys.stderr.write(f"error: {halt}\n")
+    if not opts.csv:
+        out.write(csv_text)
+    return 0 if halt is None else 1
 
 
 def _write_file(flag: str, path: str, text: str) -> None:

@@ -44,6 +44,16 @@ def check_probabilities(name: str, values: Sequence[float], sum_tol: float | Non
         raise ValueError(f"{name} sum to {sum(values)}, not 1")
 
 
+def check_dims(**operands) -> None:
+    """The one dimension rule: every named operand (a state, observable,
+    projector or Hamiltonian) acts on one space, else the error names each
+    operand and its ``dim`` in the order given, as in
+    ``dimension mismatch: state 3 vs projector 2``."""
+    dims = [op.dim for op in operands.values()]
+    if dims.count(dims[0]) != len(dims):
+        raise ValueError("dimension mismatch: " + " vs ".join(f"{name} {dim}" for name, dim in zip(operands, dims)))
+
+
 def _hermitian(matrix, kind: str) -> np.ndarray:
     """``matrix`` as a frozen complex array, once it is checked to be square,
     non-empty, finite and within INPUT_TOL of its conjugate transpose."""
@@ -233,8 +243,7 @@ class Hamiltonian:
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """Hermitian inner product ``<a|b>``, conjugating the first argument."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    check_dims(a=a, b=b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -280,8 +289,7 @@ def propagator(hamiltonian: Hamiltonian, t) -> np.ndarray:
 def evolve(psi: StateVector, hamiltonian: Hamiltonian, t: float) -> StateVector:
     """Apply :func:`propagator` ``exp(-i H t)`` to the state; the result is
     renormalized so its norm is 1 within 1e-10."""
-    if psi.dim != hamiltonian.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim} vs Hamiltonian {hamiltonian.dim}")
+    check_dims(state=psi, Hamiltonian=hamiltonian)
     return StateVector(propagator(hamiltonian, float(t)) @ psi.amplitudes)
 
 
@@ -293,7 +301,6 @@ def commutator_norm(a: Observable, b: Observable) -> float:
     rotation the value is 2.0. Zero within 1e-10 exactly when the operators
     commute.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    check_dims(a=a, b=b)
     comm = a.matrix @ b.matrix - b.matrix @ a.matrix
     return float(np.linalg.norm(comm) / np.sqrt(a.dim))

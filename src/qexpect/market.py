@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .classical import bayes_update
-from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, check_probabilities, propagator
+from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, check_dims, check_probabilities, propagator
 from .measurement import (
     ZERO_BRANCH_TOL,
     ImpossibleOutcomeError,
@@ -139,21 +139,18 @@ class Scenario:
             # the last period index, periods - 1, keys a Philox stream
             raise ValueError(f"period count must be an integer in [1, 2^64], got {self.periods}")
         object.__setattr__(self, "periods", int(self.periods))
-        d = self.price_observable.dim
-        for pop in self.populations:
-            if pop.initial_state.dim != d:
-                raise ValueError(
-                    f"population state dimension {pop.initial_state.dim} does not match "
-                    f"price observable dimension {d}"
-                )
-        for obs in [self.price_observable, *(e.observable for e in self.news.events if e.observable is not None)]:
+        overrides = {f"news[{i}].observable": e.observable for i, e in enumerate(self.news.events) if e.observable is not None}
+        check_dims(
+            price_observable=self.price_observable,
+            **{f"populations[{i}]": pop.initial_state for i, pop in enumerate(self.populations)},
+            **overrides,
+        )
+        for obs in [self.price_observable, *overrides.values()]:
             if set(obs.outcomes) - {1.0, -1.0}:
                 raise ValueError(
                     "price observables must use outcomes +1 (up) and -1 (down), "
                     f"got {obs.outcomes}"
                 )
-            if obs.dim != d:
-                raise ValueError("observable override dimension does not match scenario")
         classical = any(pop.kind == "classical" for pop in self.populations)
         for i, obs in enumerate(e.observable for e in self.news.events):
             if classical and obs is not None and obs.outcomes != self.price_observable.outcomes:
@@ -287,9 +284,7 @@ def run_sequential_ensemble(
     if order not in ("ij", "ji"):
         raise ValueError(f"order must be 'ij' or 'ji', got {order!r}")
     first, second = (obs_i, obs_j) if order == "ij" else (obs_j, obs_i)
-    psi = population.initial_state
-    if psi.dim != first.dim or psi.dim != second.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim} vs observables {first.dim} and {second.dim}")
+    check_dims(state=population.initial_state, first=first, second=second)
     cohort = _QuantumCohort(population)
     idx1 = cohort.measure(first.layout, Philox(key=_period_key(seed, 0)))
     idx2 = cohort.measure(second.layout, Philox(key=_period_key(seed, 1)))

@@ -18,6 +18,7 @@ from .hilbert import (
     Observable,
     Projector,
     StateVector,
+    check_dims,
     check_probabilities,
     inner_product,
     propagator,
@@ -112,8 +113,7 @@ class InterferenceReport:
 
 def born_probability(psi: StateVector, proj: Projector) -> float:
     """Probability ``||P psi||^2`` of the outcome selected by the projector."""
-    if psi.dim != proj.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim} vs projector {proj.dim}")
+    check_dims(state=psi, projector=proj)
     projected = proj.matrix @ psi.amplitudes
     return float(np.real(np.vdot(projected, projected)))
 
@@ -131,8 +131,7 @@ def born_weights(amplitudes: np.ndarray, obs: Observable) -> np.ndarray:
 
 def born_distribution(psi: StateVector, obs: Observable) -> OutcomeDistribution:
     """Full outcome distribution of measuring ``obs`` on ``psi``."""
-    if psi.dim != obs.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim} vs observable {obs.dim}")
+    check_dims(state=psi, observable=obs)
     return OutcomeDistribution(tuple(zip(obs.outcomes, born_weights(psi.amplitudes, obs))))
 
 
@@ -147,11 +146,7 @@ def evolved_born_grid(
     as :func:`qexpect.hilbert.evolve` does, so row ``g`` equals
     ``born_distribution(evolve(psi, H, times[g]), obs)`` up to roundoff.
     """
-    if psi.dim != hamiltonian.dim or psi.dim != obs.dim:
-        raise ValueError(
-            f"dimension mismatch: state {psi.dim}, Hamiltonian {hamiltonian.dim}, "
-            f"observable {obs.dim}"
-        )
+    check_dims(state=psi, Hamiltonian=hamiltonian, observable=obs)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
@@ -177,8 +172,7 @@ def collapse(psi: StateVector, proj: Projector) -> StateVector:
     Raises ImpossibleOutcomeError when the outcome has probability below
     1e-12; a state is never returned unnormalized.
     """
-    if psi.dim != proj.dim:
-        raise ValueError(f"dimension mismatch: state {psi.dim} vs projector {proj.dim}")
+    check_dims(state=psi, projector=proj)
     projected = proj.matrix @ psi.amplitudes
     weight = float(np.real(np.vdot(projected, projected)))
     if weight < ZERO_BRANCH_TOL:
@@ -213,8 +207,7 @@ def sequential_joint(
     No branch is skipped: a first outcome of weight ``w`` contributes at most
     ``w`` to its row, and a row of weight 0 is all zeros.
     """
-    if psi.dim != first.dim or psi.dim != second.dim:
-        raise ValueError("dimension mismatch between state and observables")
+    check_dims(state=psi, first=first, second=second)
     table = born_weights(_branches(psi, first), second)  # (K1, K2), row-major (alpha, beta)
     pairs = itertools.product(first.outcomes, second.outcomes)
     return JointTable(first_id, second_id, tuple((a, b, p) for (a, b), p in zip(pairs, table.ravel())))
@@ -244,11 +237,7 @@ def interference_term(
     Lüders rule is ``sum_k ||T P_k psi||^2``; the interference can be negative
     or positive.
     """
-    if psi.dim != target.dim or psi.dim != partition.dim:
-        raise ValueError("dimension mismatch between state, target and partition")
-    completeness = partition.layout.stack.sum(axis=0)
-    if not np.allclose(completeness, np.eye(partition.dim), atol=1e-8):
-        raise ValueError("partition projectors do not sum to the identity")
+    check_dims(state=psi, target=target, partition=partition)
     p_direct = born_probability(psi, target)
     classical_sum = float(np.sum(np.abs(_branches(psi, partition) @ target.matrix.T) ** 2))
     return InterferenceReport(p_direct, classical_sum, p_direct - classical_sum)
@@ -264,8 +253,7 @@ def uncertainty_product(
     to 1e-10 roundoff. Raises ValueError when either value overflows, as
     it can for eigenvalues near the float range.
     """
-    if psi.dim != a.dim or psi.dim != b.dim:
-        raise ValueError("dimension mismatch between state and observables")
+    check_dims(state=psi, a=a, b=b)
     vec = psi.amplitudes
 
     def spread(op: np.ndarray) -> float:

@@ -329,8 +329,8 @@ _MALFORMED_VALUES = {
         f"{command}_dimension_mismatch": ("tilted.json", ("states", "up"), [[1, 0], [0, 0], [0, 0]], [command], f"{section}: {message}")
         for command, section, message in (
             ("born", "born", "dimension mismatch: state 3 vs observable 2"),
-            ("interference", "interference", "dimension mismatch between state, target and partition"),
-            ("order-effect", "order_effect", "dimension mismatch between state and observables"),
+            ("interference", "interference", "dimension mismatch: state 3 vs target 2 vs partition 2"),
+            ("order-effect", "order_effect", "dimension mismatch: state 3 vs first 2 vs second 2"),
         )
     },
     "propagator_overflow": (
@@ -384,8 +384,9 @@ _BAD_FLAG_VALUES = {
     "csv_in_a_missing_directory": (
         ["simulate-market", "--csv", "{tmp}/absent/path.csv"], "--csv: cannot write {tmp}/absent/path.csv: No such file or directory",
     ),
-    "report_is_a_directory": (
-        ["simulate-market", "--csv", "{tmp}/path.csv", "--report", "{tmp}"], "--report: cannot write {tmp}: Is a directory",
+    "report_is_a_directory": (["simulate-market", "--report", "{tmp}"], "--report: cannot write {tmp}: Is a directory"),
+    "report_in_a_missing_directory": (
+        ["simulate-market", "--report", "{tmp}/absent/r.json"], "--report: cannot write {tmp}/absent/r.json: No such file or directory",
     ),
 }
 
@@ -398,6 +399,23 @@ def test_bad_flag_values_exit_1_naming_the_flag(argv, message, tmp_path, capsys)
     assert code == 1
     assert output == ""
     assert capsys.readouterr().err == f"validation error: {message.format(tmp=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "csv_file"])
+def test_a_halted_run_sends_its_partial_csv_where_the_whole_one_would_go(to_file, tmp_path, capsys):
+    raw = json.loads((CONFIGS / "market.json").read_text(encoding="utf-8"))
+    raw["scenario"]["impact"] = 50
+    config = tmp_path / "market.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    csv, report = tmp_path / "out.csv", tmp_path / "r.json"
+    code, output = run_cli("simulate-market", str(config), *(["--csv", str(csv)] if to_file else []), "--report", str(report))
+    partial = "period,price,up_fraction,down_fraction\n0,100.000000000000,,\n"
+    assert code == 1
+    assert capsys.readouterr().err == "error: price became -318.1818181818178 in period 1\n"
+    assert output == ("" if to_file else partial)
+    if to_file:
+        assert csv.read_text(encoding="utf-8") == partial
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("value", ["false", 1, None], ids=["string", "integer", "null"])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -249,6 +250,59 @@ def test_scenario_roundtrip_is_equivalent():
     )
     replayed = scenario_from_document(document_from_dict(scenario_to_dict(sc)))
     assert scenarios_equivalent(sc, replayed)
+
+
+def _equivalence_base() -> Scenario:
+    return Scenario(
+        seed=99,
+        populations=(AgentPopulation(123, StateVector([0.6, 0.8j]), "quantum"), AgentPopulation(45, StateVector([1, 1]), "classical")),
+        news=NewsSchedule((
+            NewsEvent(Hamiltonian([[0.0, 0.5], [0.5, 0.3]]), 0.7, make_observable([[0.8, 0.6], [-0.6, 0.8]], [1.0, -1.0])),
+            NewsEvent(Hamiltonian(np.eye(2)), 1.0),
+        )),
+        price_observable=make_observable(np.eye(2), [1.0, -1.0]),
+        impact=0.2,
+        initial_price=50.0,
+        periods=7,
+    )
+
+
+def _with_population(sc: Scenario, i: int, **changes) -> Scenario:
+    populations = list(sc.populations)
+    populations[i] = dataclasses.replace(populations[i], **changes)
+    return dataclasses.replace(sc, populations=tuple(populations))
+
+
+def _with_first_news(sc: Scenario, **changes) -> Scenario:
+    first, *rest = sc.news.events
+    return dataclasses.replace(sc, news=NewsSchedule((dataclasses.replace(first, **changes), *rest)))
+
+
+# One field changed at a time, each a difference scenarios_equivalent must see.
+_INEQUIVALENT = {
+    "seed": lambda sc: dataclasses.replace(sc, seed=100),
+    "periods": lambda sc: dataclasses.replace(sc, periods=8),
+    "impact": lambda sc: dataclasses.replace(sc, impact=0.2 + 1e-9),
+    "initial_price": lambda sc: dataclasses.replace(sc, initial_price=50.0 + 1e-9),
+    "population_count": lambda sc: dataclasses.replace(sc, populations=sc.populations[:1]),
+    "news_count": lambda sc: dataclasses.replace(sc, news=NewsSchedule(sc.news.events[:1])),
+    "agent_count": lambda sc: _with_population(sc, 0, count=124),
+    "kind": lambda sc: _with_population(sc, 1, kind="quantum"),
+    "state": lambda sc: _with_population(sc, 0, initial_state=StateVector([0.8, 0.6j])),
+    "price_observable": lambda sc: dataclasses.replace(sc, price_observable=make_observable(np.eye(2), [-1.0, 1.0])),
+    "duration": lambda sc: _with_first_news(sc, duration=0.7 + 1e-9),
+    "hamiltonian": lambda sc: _with_first_news(sc, hamiltonian=Hamiltonian([[0.0, 0.5], [0.5, 0.4]])),
+    "override_dropped": lambda sc: _with_first_news(sc, observable=None),
+    "override_changed": lambda sc: _with_first_news(sc, observable=make_observable([[0.6, 0.8], [-0.8, 0.6]], [1.0, -1.0])),
+}
+
+
+@pytest.mark.parametrize("change", list(_INEQUIVALENT.values()), ids=list(_INEQUIVALENT))
+def test_scenarios_equivalent_sees_each_field(change):
+    base = _equivalence_base()
+    assert scenarios_equivalent(base, _with_population(base, 0, initial_state=StateVector([0.6j, -0.8])))
+    assert not scenarios_equivalent(base, change(base))
+    assert not scenarios_equivalent(change(base), base)
 
 
 def test_roundtrip_through_json_text(tmp_path):

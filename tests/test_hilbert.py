@@ -8,6 +8,7 @@ from qexpect.hilbert import (
     Observable,
     Projector,
     StateVector,
+    check_dims,
     commutator_norm,
     evolve,
     inner_product,
@@ -15,7 +16,17 @@ from qexpect.hilbert import (
     projector_for,
     propagator,
 )
-from qexpect.measurement import born_distribution, born_weights, uncertainty_product
+from qexpect.market import AgentPopulation, NewsEvent, NewsSchedule, Scenario, run_ensemble, run_sequential_ensemble, sample_measurement
+from qexpect.measurement import (
+    born_distribution,
+    born_probability,
+    born_weights,
+    collapse,
+    evolved_born_grid,
+    interference_term,
+    sequential_joint,
+    uncertainty_product,
+)
 
 import oracles
 from oracles import random_hermitian, random_state_array, taylor_expm
@@ -510,3 +521,63 @@ def test_commutator_dimension_mismatch(price):
     other = make_observable(np.eye(3), [1.0, 0.0, -1.0])
     with pytest.raises(ValueError):
         commutator_norm(price, other)
+
+
+# ---------------------------------------------------------------------------
+# check_dims: the one dimension rule
+
+
+def test_check_dims_passes_operands_of_one_dimension(price):
+    check_dims(state=StateVector([1, 0]))
+    check_dims(state=StateVector([1, 0]), observable=price, Hamiltonian=Hamiltonian(np.eye(2)))
+
+
+def test_check_dims_names_every_operand_in_the_order_given(price):
+    with pytest.raises(ValueError) as info:
+        check_dims(target=price, state=StateVector([1, 0, 0]), partition=price)
+    assert str(info.value) == "dimension mismatch: target 2 vs state 3 vs partition 2"
+
+
+_S2, _S3 = StateVector([1, 0]), StateVector([1, 0, 0])
+_P2 = make_observable(np.eye(2), [1.0, -1.0])
+_P3 = make_observable(np.eye(3), [1.0, -1.0, -1.0])
+_UP2 = projector_for(_P2, 1.0)
+_H2 = Hamiltonian(np.eye(2))
+
+
+def _scenario(populations, news=()):
+    return Scenario(0, tuple(AgentPopulation(5, psi) for psi in populations), NewsSchedule(news), _P2, 0.1, 100.0, 1)
+
+
+# Every public function that combines operands of one space, and the whole message it raises.
+_DIMENSION_MISMATCHES = {
+    "inner_product": (lambda: inner_product(_S2, _S3), "a 2 vs b 3"),
+    "evolve": (lambda: evolve(_S3, _H2, 1.0), "state 3 vs Hamiltonian 2"),
+    "commutator_norm": (lambda: commutator_norm(_P2, _P3), "a 2 vs b 3"),
+    "born_probability": (lambda: born_probability(_S3, _UP2), "state 3 vs projector 2"),
+    "born_distribution": (lambda: born_distribution(_S3, _P2), "state 3 vs observable 2"),
+    "evolved_born_grid": (lambda: evolved_born_grid(_S2, _H2, [0.0, 1.0], _P3), "state 2 vs Hamiltonian 2 vs observable 3"),
+    "collapse": (lambda: collapse(_S3, _UP2), "state 3 vs projector 2"),
+    "sequential_joint": (lambda: sequential_joint(_S2, _P2, _P3), "state 2 vs first 2 vs second 3"),
+    "interference_term": (lambda: interference_term(_S3, _UP2, _P2), "state 3 vs target 2 vs partition 2"),
+    "uncertainty_product": (lambda: uncertainty_product(_S2, _P3, _P2), "state 2 vs a 3 vs b 2"),
+    "run_sequential_ensemble": (
+        lambda: run_sequential_ensemble(AgentPopulation(5, _S2), _P3, _P2, "ji"), "state 2 vs first 2 vs second 3",
+    ),
+    "scenario_population": (
+        lambda: _scenario([_S2, _S3]), "price_observable 2 vs populations[0] 2 vs populations[1] 3",
+    ),
+    "scenario_news_override": (
+        lambda: _scenario([_S2], [NewsEvent(_H2, 1.0), NewsEvent(_H2, 1.0, _P3)]),
+        "price_observable 2 vs populations[0] 2 vs news[1].observable 3",
+    ),
+    "sample_measurement": (lambda: sample_measurement(_S3, _P2, np.random.default_rng(0)), "state 3 vs observable 2"),
+    "run_ensemble": (lambda: run_ensemble(AgentPopulation(5, _S3), _P2, 0), "state 3 vs observable 2"),
+}
+
+
+@pytest.mark.parametrize("call, operands", list(_DIMENSION_MISMATCHES.values()), ids=list(_DIMENSION_MISMATCHES))
+def test_each_dimension_mismatch_names_every_operand(call, operands):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"dimension mismatch: {operands}"

@@ -729,10 +729,10 @@ def test_classical_population_rejects_an_override_of_other_outcomes():
 
 
 def test_scenario_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: price_observable 2 vs populations\[0\] 3$"):
         scenario(populations=(AgentPopulation(5, StateVector([1, 0, 0]), "quantum"),))
     three = make_observable(np.eye(3), [1.0, -1.0, -1.0])
-    with pytest.raises(ValueError, match="^observable override dimension does not match scenario$"):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: price_observable 2 vs populations\[0\] 2 vs news\[0\]\.observable 3$"):
         scenario(news=NewsSchedule((NewsEvent(RABI, 0.4, three),)))
 
 

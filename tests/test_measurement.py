@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qexpect.hilbert import Hamiltonian, StateVector, commutator_norm, evolve, make_observable, projector_for
+from qexpect.hilbert import Hamiltonian, Observable, Projector, StateVector, commutator_norm, evolve, make_observable, projector_for
 from qexpect.classical import ClassicalConditionalModel, bayes_update, classical_agent_step
 from qexpect.market import PeriodRecord
 from qexpect.measurement import (
@@ -481,6 +481,21 @@ def test_interference_matches_chained_projector_oracle():
         assert report.interference == pytest.approx(diff, abs=1e-12)
 
 
+def test_interference_accepts_every_partition_the_observable_accepts():
+    """A basis at the edge of Observable's Gram tolerance: its projectors sum
+    to the identity only within twice that tolerance."""
+    d, eps = 4, 0.99e-8
+    u, w = np.full(d, 0.5), np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
+    reflection = np.eye(d) - 2 * np.outer(u - w, u - w) / np.dot(u - w, u - w)
+    basis = reflection @ (np.eye(d) + eps / 2 * (np.ones((d, d)) - np.eye(d)))
+    assert np.abs(basis.T @ basis - np.eye(d)).max() <= 1e-8 < np.abs(basis @ basis.T - np.eye(d)).max()
+    psi, target = StateVector([1, 2, 3, 4]), Projector(np.diag([1.0, 0.0, 0.0, 0.0]))
+    report = interference_term(psi, target, Observable(basis, [1, 1, -1, -1]))
+    exact = interference_term(psi, target, Observable(reflection, [1, 1, -1, -1]))
+    assert report.p_direct == exact.p_direct
+    assert report.p_classical_sum == pytest.approx(exact.p_classical_sum, abs=1e-7)
+
+
 def test_interference_report_rejects_broken_identity():
     with pytest.raises(ValueError):
         InterferenceReport(0.9, 0.3, 0.2)
@@ -553,6 +568,26 @@ _TABLE_REJECTS = {
     "period fraction": (lambda: PeriodRecord(100, 2.0, -1.0), "up and down fractions must lie in [0, 1], got 2.0"),
     "period sum": (lambda: PeriodRecord(100, 0.5, 0.5 + 2**-38), "up and down fractions sum to 1.000000000003638, not 1"),
 }
+
+
+# Lookups of an absent entry and values out of their range, each with its message.
+_VALUE_REJECTS = {
+    "absent outcome": (lambda: OutcomeDistribution(((1, 1.0),)).probability(-1.0), "outcome -1.0 not in distribution"),
+    "absent pair": (lambda: JointTable("a", "b", ((1, 1, 1.0),)).probability(1.0, -1.0), "pair (1.0, -1.0) not in table"),
+    "interference above 1": (lambda: InterferenceReport(1.0, -0.5, 1.5), "interference 1.5 outside [-1, 1]"),
+    "interference below -1": (lambda: InterferenceReport(-0.5, 1.0, -1.5), "interference -1.5 outside [-1, 1]"),
+    "zero price": (lambda: PeriodRecord(0.0, 0.5, 0.5), "price must be positive and finite, got 0.0"),
+    "nan price": (lambda: PeriodRecord(NAN, 0.5, 0.5), "price must be positive and finite, got nan"),
+    "infinite price": (lambda: PeriodRecord(float("inf"), 0.5, 0.5), "price must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALUE_REJECTS))
+def test_lookups_and_records_reject_with_their_message(name):
+    build, message = _VALUE_REJECTS[name]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", list(_TABLE_REJECTS))
