@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except ConfigParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (ConfigValidationError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"validation error: {exc}\n")
         return 1
     except MemoryError as exc:

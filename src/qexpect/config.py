@@ -226,7 +226,7 @@ def document_from_dict(raw: dict) -> ConfigDocument:
         raise ConfigValidationError("config root must be a JSON object")
     if "version" not in raw:
         raise ConfigValidationError("version: field is required")
-    if raw["version"] != CONFIG_VERSION:
+    if type(raw["version"]) is not int or raw["version"] != CONFIG_VERSION:  # not True or 1.0, which equal 1
         raise ConfigVersionError(
             f"version: expected {CONFIG_VERSION}, got {raw['version']!r}"
         )
@@ -247,9 +247,6 @@ def document_from_dict(raw: dict) -> ConfigDocument:
     return doc
 
 
-_DEFAULT_PRICE_OBSERVABLE = {"vectors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "eigenvalues": [1.0, -1.0]}
-
-
 def scenario_from_document(doc: ConfigDocument) -> Scenario:
     """Assemble the market scenario from a parsed document, filling defaults
     (seed 0, one period, price 100, impact 0, two-level up/down observable)."""
@@ -264,7 +261,7 @@ def scenario_from_document(doc: ConfigDocument) -> Scenario:
     if "price_observable" in section.raw:
         price_obs = section.observable("price_observable")
     else:
-        price_obs = _build_observable(Fields(_DEFAULT_PRICE_OBSERVABLE, section.name("price_observable"), doc))
+        price_obs = make_observable(np.eye(2), [1.0, -1.0])
 
     events = []
     for entry in section.objects("news"):

@@ -9,6 +9,7 @@ build an observable's lazy matrix or layout compute equal values).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -52,6 +53,22 @@ def check_dims(**operands) -> None:
     dims = [op.dim for op in operands.values()]
     if dims.count(dims[0]) != len(dims):
         raise ValueError("dimension mismatch: " + " vs ".join(f"{name} {dim}" for name, dim in zip(operands, dims)))
+
+
+def check_integer(name: str, value, lo: int, hi: int) -> int:
+    """The one integer rule: an int or numpy integer, not a bool, in [lo, hi], as a plain int."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= int(value) <= hi:
+        return int(value)
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+
+
+def check_real(name: str, value, lo: float = -math.inf, closed: bool = False) -> float:
+    """The one real rule: a finite int, float or numpy number, not a bool, > lo (>= lo if ``closed``), as a plain float."""
+    # compared as a Python number: exactly, and without numpy's scalar overhead
+    x = float(value) if isinstance(value, (float, np.floating)) else int(value) if isinstance(value, np.integer) else value
+    if isinstance(x, (float, int)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max and (x > lo or closed and x == lo):
+        return float(x)
+    raise ValueError(f"{name} must be a finite number in {'[' if closed else '('}{lo:g}, inf), got {value!r}")
 
 
 def _hermitian(matrix, kind: str) -> np.ndarray:
@@ -175,7 +192,8 @@ class Observable:
 
     def __post_init__(self) -> None:
         basis = np.array(self.basis, dtype=complex, order="C")
-        values = tuple(float(v) for v in self.eigenvalues)
+        labels = self.eigenvalues.tolist() if isinstance(self.eigenvalues, np.ndarray) else self.eigenvalues  # Python numbers check fastest
+        values = tuple(check_real("observable eigenvalue", v) for v in (labels if hasattr(labels, "__iter__") else [labels]))
         if not basis.size:
             raise ValueError("observable needs at least one eigenvector")
         if basis.ndim != 2:
@@ -187,8 +205,6 @@ class Observable:
             raise ValueError(f"need {d} eigenvectors for dimension {d}, got {n}")
         if len(values) != d:
             raise ValueError(f"need {d} eigenvalues for dimension {d}, got {len(values)}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"observable eigenvalues must be finite, got {values}")
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the check below
             dev = np.abs(basis.conj().T @ basis - np.eye(d)).max()
         if not dev <= INPUT_TOL:

@@ -12,14 +12,14 @@ runs and do not depend on how agents are grouped.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .classical import bayes_update
-from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, check_dims, check_probabilities, propagator
+from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, propagator
+from .hilbert import check_dims, check_integer, check_probabilities, check_real
 from .measurement import (
     ZERO_BRANCH_TOL,
     ImpossibleOutcomeError,
@@ -48,9 +48,7 @@ class AgentPopulation:
     kind: str = "quantum"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.count < 2**64 or int(self.count) != self.count:
-            raise ValueError(f"population count must be an integer in [1, 2^64), got {self.count}")
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", check_integer("population count", self.count, 1, 2**64 - 1))
         if self.kind not in ("quantum", "classical"):
             raise ValueError(f"population kind must be 'quantum' or 'classical', got {self.kind!r}")
 
@@ -65,8 +63,7 @@ class NewsEvent:
     observable: Observable | None = None
 
     def __post_init__(self) -> None:
-        if not (self.duration >= 0 and math.isfinite(self.duration)):
-            raise ValueError(f"news duration must be finite and >= 0, got {self.duration}")
+        object.__setattr__(self, "duration", check_real("news duration", self.duration, 0.0, closed=True))
 
 
 @dataclass(frozen=True)
@@ -96,8 +93,7 @@ class PeriodRecord:
 
     def __post_init__(self) -> None:
         check_probabilities("up and down fractions", (self.up_fraction, self.down_fraction), 1e-12)
-        if not (self.price > 0 and math.isfinite(self.price)):
-            raise ValueError(f"price must be positive and finite, got {self.price}")
+        object.__setattr__(self, "price", check_real("price", self.price, 0.0))
 
 
 @dataclass(frozen=True)
@@ -125,20 +121,14 @@ class Scenario:
     periods: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _checked_u64(self.seed, "seed"))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0, 2**64 - 1))
         object.__setattr__(self, "populations", tuple(self.populations))
         if not self.populations:
             raise ValueError("scenario needs at least one population")
-        if self.total_agents > 2**64:  # agent indices run from 0 to total - 1
-            raise ValueError(f"total agent count must be at most 2^64, got {self.total_agents}")
-        if not (self.impact >= 0 and math.isfinite(self.impact)):
-            raise ValueError(f"impact coefficient must be finite and >= 0, got {self.impact}")
-        if not (self.initial_price > 0 and math.isfinite(self.initial_price)):
-            raise ValueError(f"initial price must be finite and > 0, got {self.initial_price}")
-        if not 1 <= self.periods <= 2**64 or int(self.periods) != self.periods:
-            # the last period index, periods - 1, keys a Philox stream
-            raise ValueError(f"period count must be an integer in [1, 2^64], got {self.periods}")
-        object.__setattr__(self, "periods", int(self.periods))
+        check_integer("total agent count", self.total_agents, 1, 2**64)  # agent indices run from 0 to total - 1
+        object.__setattr__(self, "impact", check_real("impact", self.impact, 0.0, closed=True))
+        object.__setattr__(self, "initial_price", check_real("initial price", self.initial_price, 0.0))
+        object.__setattr__(self, "periods", check_integer("period count", self.periods, 1, 2**64))  # last index keys a stream
         overrides = {f"news[{i}].observable": e.observable for i, e in enumerate(self.news.events) if e.observable is not None}
         check_dims(
             price_observable=self.price_observable,
@@ -168,14 +158,8 @@ class Scenario:
 # Seeded stream derivation
 
 
-def _checked_u64(value, name: str) -> int:
-    if not 0 <= value < 2**64 or int(value) != value:
-        raise ValueError(f"{name} must be an unsigned 64-bit integer, got {value}")
-    return int(value)
-
-
 def _period_key(seed: int, period: int) -> np.ndarray:
-    return SeedSequence([_checked_u64(seed, "seed"), int(period)]).generate_state(2, np.uint64)
+    return SeedSequence([seed, period]).generate_state(2, np.uint64)
 
 
 def agent_stream(seed: int, agent_index: int, period: int) -> Generator:
@@ -186,8 +170,8 @@ def agent_stream(seed: int, agent_index: int, period: int) -> Generator:
     the draw that :func:`run_market`, :func:`run_ensemble` and
     :func:`run_sequential_ensemble` read for that agent.
     """
-    agent_index = _checked_u64(agent_index, "agent index")
-    bits = Philox(key=_period_key(seed, _checked_u64(period, "period")))
+    seed, agent_index = check_integer("seed", seed, 0, 2**64 - 1), check_integer("agent index", agent_index, 0, 2**64 - 1)
+    bits = Philox(key=_period_key(seed, check_integer("period", period, 0, 2**64 - 1)))
     bits.advance(agent_index // 4)
     bits.random_raw(agent_index % 4)
     return Generator(bits)
@@ -259,7 +243,7 @@ def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> Out
             "the classical_agent_step pipeline"
         )
     dist = born_distribution(population.initial_state, obs)
-    idx = _draw_outcomes(Philox(key=_period_key(seed, 0)), _cumulative(dist), population.count)
+    idx = _draw_outcomes(Philox(key=_period_key(check_integer("seed", seed, 0, 2**64 - 1), 0)), _cumulative(dist), population.count)
     counts = np.bincount(idx, minlength=len(dist.entries))
     return OutcomeDistribution(tuple(zip(dist.outcomes, counts / population.count)))
 
@@ -285,6 +269,7 @@ def run_sequential_ensemble(
         raise ValueError(f"order must be 'ij' or 'ji', got {order!r}")
     first, second = (obs_i, obs_j) if order == "ij" else (obs_j, obs_i)
     check_dims(state=population.initial_state, first=first, second=second)
+    seed = check_integer("seed", seed, 0, 2**64 - 1)
     cohort = _QuantumCohort(population)
     idx1 = cohort.measure(first.layout, Philox(key=_period_key(seed, 0)))
     idx2 = cohort.measure(second.layout, Philox(key=_period_key(seed, 1)))
@@ -419,10 +404,9 @@ def run_market(scenario: Scenario) -> PricePath:
         f_up = ups / total
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))
-        if not (math.isfinite(price) and price > 0):
-            raise SimulationHalt(
-                f"price became {price} in period {period + 1}",
-                PricePath(scenario.initial_price, tuple(records)),
-            )
-        records.append(PeriodRecord(price, f_up, f_down))
+        try:
+            records.append(PeriodRecord(price, f_up, f_down))
+        except ValueError:  # the price left (0, inf)
+            partial = PricePath(scenario.initial_price, tuple(records))
+            raise SimulationHalt(f"price became {price} in period {period + 1}", partial) from None
     return PricePath(scenario.initial_price, tuple(records))

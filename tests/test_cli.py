@@ -313,6 +313,8 @@ _MALFORMED_VALUES = {
     **_REFERENCE_CASES,
     "fractional_count": ("market.json", ("scenario", "populations", 0, "count"), 2.5, ["simulate-market"], "scenario.populations[0].count: expected an integer"),
     "news_object": ("market.json", ("scenario", "news"), {}, ["simulate-market"], "scenario.news: expected a list"),
+    "version_true": ("basic.json", ("version",), True, ["born"], "version: expected 1, got True"),
+    "version_float": ("basic.json", ("version",), 1.0, ["born"], "version: expected 1, got 1.0"),
     "ragged_vectors": (
         "basic.json", ("observables", "price"), {"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]], "eigenvalues": [1, -1]}, ["born"],
         "observables.price: eigenvectors have differing lengths [2, 3]",
@@ -478,7 +480,7 @@ def test_ensemble_output_is_reproducible():
 def test_seed_outside_64_bits_is_a_named_error(command, config, seed, capsys):
     assert main([command, str(CONFIGS / config), "--seed", str(seed)]) == 1
     err = capsys.readouterr().err
-    assert err == f"validation error: seed must be an unsigned 64-bit integer, got {seed}\n"
+    assert err == f"validation error: seed must be an integer in [0, {2**64 - 1}], got {seed}\n"
 
 
 @pytest.mark.parametrize(

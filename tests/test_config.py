@@ -117,8 +117,10 @@ def test_version_field_is_required():
 
 
 def test_version_mismatch():
-    with pytest.raises(ConfigVersionError):
-        document_from_dict({"version": 2})
+    for version in (2, True, 1.0, "1"):  # True and 1.0 equal 1 in Python, but are not the integer 1
+        with pytest.raises(ConfigVersionError) as info:
+            document_from_dict({"version": version})
+        assert str(info.value) == f"version: expected 1, got {version!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ def test_huge_period_count_is_rejected_by_name(tmp_path):
     with contextlib.redirect_stderr(err):
         code = main(["simulate-market", str(write_config(tmp_path, raw))], out=io.StringIO())
     assert code == 1
-    assert "scenario: period count must be an integer in [1, 2^64]" in err.getvalue()
+    assert err.getvalue() == f"validation error: scenario: period count must be an integer in [1, {2**64}], got {10**400}\n"
 
 
 def test_section_lookup_errors():

@@ -110,6 +110,10 @@ def test_same_state_distinguishes_orthogonal():
     assert not StateVector([1, 0]).same_state(StateVector([0, 1]))
 
 
+def test_same_state_is_false_across_dimensions():
+    assert not StateVector([1, 0]).same_state(StateVector([1, 0, 0]))
+
+
 # ---------------------------------------------------------------------------
 # inner_product
 
@@ -192,7 +196,15 @@ _MAKE_OBSERVABLE_REJECTS = {
     "ragged vectors": ([[1, 0], [0, 1, 0]], _UP_DOWN, "eigenvectors have differing lengths [2, 3]"),
     "vector not 1-d": ([np.eye(2), np.eye(2)], _UP_DOWN, "state amplitudes must be a 1-d sequence, got shape (2, 2)"),
     "too few eigenvalues": (np.eye(2), [1.0], "need 2 eigenvalues for dimension 2, got 1"),
-    "nan eigenvalue": (np.eye(2), [1.0, np.nan], "observable eigenvalues must be finite, got (1.0, nan)"),
+    "nan eigenvalue": (np.eye(2), [1.0, np.nan], "observable eigenvalue must be a finite number in (-inf, inf), got nan"),
+    "inf eigenvalue": (np.eye(2), [np.inf, 1.0], "observable eigenvalue must be a finite number in (-inf, inf), got inf"),
+    "huge int eigenvalue": (np.eye(2), [-(10**400), 1.0], f"observable eigenvalue must be a finite number in (-inf, inf), got {-(10**400)}"),
+    "bool eigenvalue": (np.eye(2), [True, -1.0], "observable eigenvalue must be a finite number in (-inf, inf), got True"),
+    "string eigenvalue": (np.eye(2), ["1", "-1"], "observable eigenvalue must be a finite number in (-inf, inf), got '1'"),
+    "none eigenvalue": (np.eye(2), [1.0, None], "observable eigenvalue must be a finite number in (-inf, inf), got None"),
+    "eigenvalues none": (np.eye(2), None, "observable eigenvalue must be a finite number in (-inf, inf), got None"),
+    "eigenvalues true": (np.eye(2), True, "observable eigenvalue must be a finite number in (-inf, inf), got True"),
+    "eigenvalues a scalar": (np.eye(2), 5, "need 2 eigenvalues for dimension 2, got 1"),
 }
 
 
@@ -218,6 +230,9 @@ def test_make_observable_accepts_and_normalizes_each_column(vectors):
     obs = make_observable(vectors, np.arange(len(vectors), dtype=float))
     expected = np.array(vectors, dtype=complex).T
     assert np.allclose(obs.basis, expected / np.linalg.norm(expected, axis=0), atol=1e-15)
+    for dtype in (np.float32, np.int64):  # numpy outcome labels are kept as plain floats
+        values = make_observable(vectors, np.arange(len(vectors), dtype=dtype)).eigenvalues
+        assert values == obs.eigenvalues and all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize(

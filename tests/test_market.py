@@ -20,7 +20,7 @@ from qexpect.market import (
     run_sequential_ensemble,
     sample_measurement,
 )
-from qexpect.measurement import born_distribution, sequential_joint
+from qexpect.measurement import ImpossibleOutcomeError, born_distribution, sequential_joint
 
 PLUS = StateVector([1, 0])
 BALANCED = StateVector([1 / np.sqrt(2), 1 / np.sqrt(2)])
@@ -570,6 +570,7 @@ def test_price_hitting_zero_halts_with_partial_path():
     )
     with pytest.raises(SimulationHalt) as excinfo:
         run_market(sc)
+    assert str(excinfo.value) == "price became 0.0 in period 1"
     assert excinfo.value.partial_path.periods == ()
     assert excinfo.value.partial_path.initial_price == 100.0
 
@@ -620,6 +621,16 @@ def test_degenerate_price_observable_in_market():
     assert path.periods[1].up_fraction == path.periods[0].up_fraction
 
 
+def test_a_drawn_rank_2_outcome_of_zero_weight_cannot_collapse(monkeypatch):
+    # every agent sits on the -1 eigenvector; force the draw of the rank-2 outcome +1
+    obs = make_observable(np.eye(3), [1.0, 1.0, -1.0])
+    sc = scenario(populations=(AgentPopulation(4, StateVector([0, 0, 1]), "quantum"),), price_observable=obs, periods=1)
+    monkeypatch.setattr(market, "_draw_outcomes", lambda bits, cumulative, count, membership=None: np.zeros(count, dtype=np.intp))
+    with pytest.raises(ImpossibleOutcomeError) as info:
+        run_market(sc)
+    assert str(info.value) == "cannot collapse onto an outcome of probability 0.000e+00"
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -632,38 +643,50 @@ def test_population_validation():
 
 
 @pytest.mark.parametrize(
-    "count", [0, 2**64, 10**400, 1.5, float("nan"), float("inf")], ids=["0", "2^64", "10^400", "1.5", "nan", "inf"]
+    "count",
+    [0, 2**64, 10**400, 1.5, float("nan"), float("inf"), True, "1", None, 5.0],
+    ids=["0", "2^64", "10^400", "1.5", "nan", "inf", "true", "string", "none", "integral_float"],
 )
 def test_population_count_lies_below_2_to_the_64(count):
-    with pytest.raises(ValueError, match=r"^population count must be an integer in \[1, 2\^64\)"):
+    with pytest.raises(ValueError) as info:
         AgentPopulation(count, PLUS, "quantum")
+    assert str(info.value) == f"population count must be an integer in [1, {2**64 - 1}], got {count!r}"
     assert AgentPopulation(2**64 - 1, PLUS, "quantum").count == 2**64 - 1
+    for value in (np.uint64(2**64 - 1), np.int64(5)):
+        stored = AgentPopulation(value, PLUS, "quantum").count
+        assert type(stored) is int and stored == value
 
 
 @pytest.mark.parametrize(
     "periods",
-    [0, 2**64 + 1, 10**400, 1.5, float("nan"), float("inf")],
-    ids=["0", "2^64+1", "10^400", "1.5", "nan", "inf"],
+    [0, 2**64 + 1, 10**400, 1.5, float("nan"), float("inf"), True, "1", None, 3.0],
+    ids=["0", "2^64+1", "10^400", "1.5", "nan", "inf", "true", "string", "none", "integral_float"],
 )
 def test_period_count_keeps_the_last_period_within_64_bits(periods):
-    with pytest.raises(ValueError, match=r"^period count must be an integer in \[1, 2\^64\]"):
+    with pytest.raises(ValueError) as info:
         scenario(periods=periods)
+    assert str(info.value) == f"period count must be an integer in [1, {2**64}], got {periods!r}"
     assert scenario(periods=2**64).periods == 2**64  # built, never run
+    stored = scenario(periods=np.int64(3)).periods
+    assert type(stored) is int and stored == 3
 
 
 def test_total_agent_count_keeps_agent_indices_within_64_bits():
     half = AgentPopulation(2**63, PLUS, "quantum")
     assert scenario(populations=(half, half)).total_agents == 2**64  # built, never run
-    with pytest.raises(ValueError, match=r"^total agent count must be at most 2\^64"):
+    with pytest.raises(ValueError) as info:
         scenario(populations=(half, half, AgentPopulation(1, PLUS, "quantum")))
+    assert str(info.value) == f"total agent count must be an integer in [1, {2**64}], got {2**64 + 1}"
 
 
 def test_news_duration_must_be_nonnegative():
-    with pytest.raises(ValueError):
-        NewsEvent(RABI, -0.5)
-    for duration in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite"):
+    for duration in (-0.5, float("nan"), float("inf"), True, "1", None):
+        with pytest.raises(ValueError) as info:
             NewsEvent(RABI, duration)
+        assert str(info.value) == f"news duration must be a finite number in [0, inf), got {duration!r}"
+    for duration in (0, np.float32(0.5), np.int64(2)):
+        stored = NewsEvent(RABI, duration).duration
+        assert type(stored) is float and stored == duration
 
 
 def test_news_schedule_cycles():
@@ -680,37 +703,57 @@ def test_scenario_seed_range():
         scenario(seed=2**64)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, True, "1", None, 1.0])
 def test_every_stream_rejects_a_seed_outside_64_bits(seed):
     pop = AgentPopulation(10, BALANCED, "quantum")
     calls = [
         lambda: run_ensemble(pop, PRICE, seed),
         lambda: run_sequential_ensemble(pop, PRICE, TILTED, "ij", seed),
         lambda: agent_stream(seed, 0, 0),
+        lambda: scenario(seed=seed),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match=f"seed must be an unsigned 64-bit integer, got {seed}$"):
+        with pytest.raises(ValueError) as info:
             call()
+        assert str(info.value) == f"seed must be an integer in [0, {2**64 - 1}], got {seed!r}"
+    # a numpy seed draws what its int draws, and is kept as that int
+    top = np.uint64(2**64 - 1)
+    assert run_ensemble(pop, PRICE, top) == run_ensemble(pop, PRICE, 2**64 - 1)
+    assert run_sequential_ensemble(pop, PRICE, TILTED, "ij", top) == run_sequential_ensemble(pop, PRICE, TILTED, "ij", 2**64 - 1)
+    assert agent_stream(top, 0, 0).random() == agent_stream(2**64 - 1, 0, 0).random()
+    stored = scenario(seed=top).seed
+    assert type(stored) is int and stored == 2**64 - 1
 
 
-@pytest.mark.parametrize("value", [-1, 2**64, 0.5, 1.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [-1, 2**64, 0.5, 1.5, float("nan"), float("inf"), True, "1", None, 1.0])
 @pytest.mark.parametrize("position, name", [(1, "agent index"), (2, "period")])
 def test_agent_stream_rejects_an_agent_index_or_period_outside_64_bits(position, name, value):
     args = [0, 0, 0]
     args[position] = value
-    with pytest.raises(ValueError, match=f"{name} must be an unsigned 64-bit integer, got {value}$"):
+    with pytest.raises(ValueError) as info:
         agent_stream(*args)
+    assert str(info.value) == f"{name} must be an integer in [0, {2**64 - 1}], got {value!r}"
     args[position] = 2**64 - 1
-    agent_stream(*args)
+    first = agent_stream(*args).random()
+    args[position] = np.uint64(2**64 - 1)
+    assert agent_stream(*args).random() == first
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("impact", float("nan")), ("impact", float("inf")), ("initial_price", float("nan")), ("initial_price", float("inf"))],
+    [
+        ("impact", float("nan")), ("impact", float("inf")), ("initial_price", float("nan")), ("initial_price", float("inf")),
+        ("impact", -0.5), ("impact", True), ("impact", "1"), ("impact", None),
+        ("initial_price", 0.0), ("initial_price", True), ("initial_price", "1"), ("initial_price", None),
+    ],
 )
 def test_scenario_rejects_non_finite_impact_and_price(field, value):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError) as info:
         scenario(**{field: value})
+    interval = "[0, inf)" if field == "impact" else "(0, inf)"
+    assert str(info.value) == f"{field.replace('_', ' ')} must be a finite number in {interval}, got {value!r}"
+    stored = getattr(scenario(**{field: np.float32(0.5)}), field)
+    assert type(stored) is float and stored == 0.5
 
 
 def test_scenario_rejects_non_updown_outcomes():

@@ -576,9 +576,12 @@ _VALUE_REJECTS = {
     "absent pair": (lambda: JointTable("a", "b", ((1, 1, 1.0),)).probability(1.0, -1.0), "pair (1.0, -1.0) not in table"),
     "interference above 1": (lambda: InterferenceReport(1.0, -0.5, 1.5), "interference 1.5 outside [-1, 1]"),
     "interference below -1": (lambda: InterferenceReport(-0.5, 1.0, -1.5), "interference -1.5 outside [-1, 1]"),
-    "zero price": (lambda: PeriodRecord(0.0, 0.5, 0.5), "price must be positive and finite, got 0.0"),
-    "nan price": (lambda: PeriodRecord(NAN, 0.5, 0.5), "price must be positive and finite, got nan"),
-    "infinite price": (lambda: PeriodRecord(float("inf"), 0.5, 0.5), "price must be positive and finite, got inf"),
+    "zero price": (lambda: PeriodRecord(0.0, 0.5, 0.5), "price must be a finite number in (0, inf), got 0.0"),
+    "nan price": (lambda: PeriodRecord(NAN, 0.5, 0.5), "price must be a finite number in (0, inf), got nan"),
+    "infinite price": (lambda: PeriodRecord(float("inf"), 0.5, 0.5), "price must be a finite number in (0, inf), got inf"),
+    "bool price": (lambda: PeriodRecord(True, 0.5, 0.5), "price must be a finite number in (0, inf), got True"),
+    "string price": (lambda: PeriodRecord("1", 0.5, 0.5), "price must be a finite number in (0, inf), got '1'"),
+    "none price": (lambda: PeriodRecord(None, 0.5, 0.5), "price must be a finite number in (0, inf), got None"),
 }
 
 
