@@ -534,6 +534,63 @@ def test_simulate_market_seed_42_output_is_frozen():
     assert hashlib.sha256(output.encode()).hexdigest().startswith("27a6e05aa62d7831")
 
 
+ADJACENT_QUANTUM_CSV = """\
+period,price,up_fraction,down_fraction
+0,100.000000000000,,
+1,101.216554138535,0.621655413853,0.378344586147
+2,100.772355457582,0.456114028507,0.543885971493
+3,100.551860806355,0.478119529882,0.521880470118
+4,100.417339062091,0.486621655414,0.513378344586
+5,100.059512835125,0.464366091523,0.535633908477
+6,99.785531423386,0.472618154539,0.527381845461
+7,99.519786009618,0.473368342086,0.526631657914
+"""
+
+
+def test_simulate_market_with_adjacent_quantum_populations_is_frozen(tmp_path):
+    """Populations quantum, quantum, classical, quantum whose counts (and
+    total, 3999) are not multiples of 4, so cohorts start and periods end
+    inside a Philox block, under news with a basis override."""
+    raw = {
+        "version": 1,
+        "states": {
+            "balanced": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]],
+            "lean_down": [[0.6, 0.0], [0.8, 0.0]],
+            "phased": [[0.8, 0.0], [0.0, 0.6]],
+        },
+        "observables": {
+            "price": {"angle": 0.0, "eigenvalues": [1.0, -1.0]},
+            "tilted": {"angle": 50.0, "phase": 20.0, "degrees": True, "eigenvalues": [1.0, -1.0]},
+        },
+        "hamiltonians": {
+            "coupling": {"preset": "rabi", "omega": 1.0},
+            "drift": {"preset": "splitting", "omega": 0.7},
+        },
+        "scenario": {
+            "seed": 2026,
+            "periods": 7,
+            "initial_price": 100.0,
+            "impact": 0.05,
+            "price_observable": "price",
+            "populations": [
+                {"kind": "quantum", "count": 997, "state": "balanced"},
+                {"kind": "quantum", "count": 1503, "state": "phased"},
+                {"kind": "classical", "count": 601, "state": "lean_down"},
+                {"kind": "quantum", "count": 898, "state": "lean_down"},
+            ],
+            "news": [
+                {"hamiltonian": "coupling", "duration": 0.4},
+                {"hamiltonian": "drift", "duration": 0.9, "observable": "tilted"},
+            ],
+        },
+    }
+    config = tmp_path / "adjacent.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    code, output = run_cli("simulate-market", str(config))
+    assert code == 0
+    assert output == ADJACENT_QUANTUM_CSV
+
+
 def test_simulate_market_seed_override_changes_path():
     _, base = run_cli("simulate-market", str(CONFIGS / "market.json"))
     _, other = run_cli("simulate-market", str(CONFIGS / "market.json"), "--seed", "7")
