@@ -55,11 +55,18 @@ def check_dims(**operands) -> None:
         raise ValueError("dimension mismatch: " + " vs ".join(f"{name} {dim}" for name, dim in zip(operands, dims)))
 
 
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int too long for Python's digit limit, sys.get_int_max_str_digits()
+        return f"an int of {value.bit_length()} bits"
+
+
 def check_integer(name: str, value, lo: int, hi: int) -> int:
     """The one integer rule: an int or numpy integer, not a bool, in [lo, hi], as a plain int."""
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= int(value) <= hi:
         return int(value)
-    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
 
 
 def check_real(name: str, value, lo: float = -math.inf, closed: bool = False) -> float:
@@ -68,7 +75,7 @@ def check_real(name: str, value, lo: float = -math.inf, closed: bool = False) ->
     x = float(value) if isinstance(value, (float, np.floating)) else int(value) if isinstance(value, np.integer) else value
     if isinstance(x, (float, int)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max and (x > lo or closed and x == lo):
         return float(x)
-    raise ValueError(f"{name} must be a finite number in {'[' if closed else '('}{lo:g}, inf), got {value!r}")
+    raise ValueError(f"{name} must be a finite number in {'[' if closed else '('}{lo:g}, inf), got {_shown(value)}")
 
 
 def _hermitian(matrix, kind: str) -> np.ndarray:
@@ -277,7 +284,7 @@ def make_observable(eigenvectors: Iterable, eigenvalues: Sequence[float]) -> Obs
 
 def projector_for(obs: Observable, outcome: float) -> Projector:
     """Projector onto the eigenspace of ``outcome``; rank = multiplicity."""
-    outcome = float(outcome)
+    outcome = check_real("outcome", outcome)
     layout = obs.layout
     if outcome not in layout.outcomes:
         raise ValueError(f"outcome {outcome} is not an eigenvalue of the observable")
@@ -306,7 +313,7 @@ def evolve(psi: StateVector, hamiltonian: Hamiltonian, t: float) -> StateVector:
     """Apply :func:`propagator` ``exp(-i H t)`` to the state; the result is
     renormalized so its norm is 1 within 1e-10."""
     check_dims(state=psi, Hamiltonian=hamiltonian)
-    return StateVector(propagator(hamiltonian, float(t)) @ psi.amplitudes)
+    return StateVector(propagator(hamiltonian, check_real("evolution time", t)) @ psi.amplitudes)
 
 
 def commutator_norm(a: Observable, b: Observable) -> float:

@@ -188,15 +188,16 @@ def _thresholds(cumulative) -> np.ndarray:
     return np.fmin(np.ceil(np.maximum(cumulative, 0.0) * 2.0**53), 2.0**53).astype(np.uint64)
 
 
-def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarray | None = None) -> np.ndarray:
-    """Outcome index per 53-bit draw: the count of cumulative thresholds it
-    reaches, capped at the last outcome. ``thresholds`` is one row for every
-    draw, or one row per group with ``membership`` naming each draw's row; it
-    is read a column at a time, so no (draws x outcomes) array is built."""
-    idx = np.zeros(np.shape(draws), dtype=np.intp)
-    for column in np.asarray(thresholds).T[:-1]:
-        idx += draws >= (column if membership is None else column[membership])
-    return idx
+def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Outcome index per 53-bit draw, into ``out`` if given: the count of cumulative
+    thresholds it reaches, capped at the last outcome (a lone outcome meets 2**53,
+    which no draw reaches). ``thresholds`` is one row for every draw, or one row per
+    group with ``membership`` naming each draw's row, read a column at a time."""
+    columns = (c if membership is None else c.take(membership) for c in np.asarray(thresholds).T[:-1])
+    out = np.greater_equal(draws, next(columns, 2**53), out=np.empty(np.shape(draws), np.intp) if out is None else out)
+    for column in columns:
+        out += draws >= column
+    return out
 
 
 def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None) -> np.ndarray:
@@ -206,9 +207,9 @@ def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership:
     thresholds = _thresholds(cumulative)
     idx = np.empty(count, dtype=np.intp)
     for lo in range(0, count, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        draws = bits.random_raw(min(_CHUNK, count - lo)) >> 11
-        idx[chunk] = _inverse_cdf(thresholds, draws, None if membership is None else membership[chunk])
+        draws = bits.random_raw(min(_CHUNK, count - lo))
+        draws >>= 11
+        _inverse_cdf(thresholds, draws, None if membership is None else membership[lo : lo + _CHUNK], idx[lo : lo + _CHUNK])
     return idx
 
 
@@ -270,7 +271,7 @@ def run_sequential_ensemble(
     first, second = (obs_i, obs_j) if order == "ij" else (obs_j, obs_i)
     check_dims(state=population.initial_state, first=first, second=second)
     seed = check_integer("seed", seed, 0, 2**64 - 1)
-    cohort = _QuantumCohort(population)
+    cohort = _QuantumCohort([population])
     idx1 = cohort.measure(first.layout, Philox(key=_period_key(seed, 0)))
     idx2 = cohort.measure(second.layout, Philox(key=_period_key(seed, 1)))
     k2 = len(second.outcomes)
@@ -302,12 +303,12 @@ class _News:
 
 
 class _QuantumCohort:
-    """One quantum population as rows of belief states: every agent whose
-    ``membership`` is ``g`` holds state ``states[g]``."""
+    """A run of adjacent quantum populations as rows of belief states, agents in
+    order: agent ``i`` holds ``states[membership[i]]``, at first its population's."""
 
-    def __init__(self, population: AgentPopulation):
-        self.states = population.initial_state.amplitudes[None, :]
-        self.membership = np.zeros(population.count, dtype=np.intp)
+    def __init__(self, populations: list[AgentPopulation]):
+        self.states = np.array([pop.initial_state.amplitudes for pop in populations])
+        self.membership = np.repeat(np.arange(len(populations)), [pop.count for pop in populations])
 
     def step(self, news: _News, bits: Philox) -> np.ndarray:
         """Evolve every agent under the news, then :meth:`measure` it."""
@@ -382,26 +383,28 @@ def run_market(scenario: Scenario) -> PricePath:
     The up/down fractions over all agents move the price multiplicatively:
     ``price *= 1 + impact * (f_up - f_down)``.
 
-    Bit-identical output for a fixed scenario. Raises SimulationHalt
-    (carrying the partial path) if the price leaves the positive
+    One cohort holds each run of adjacent quantum populations, and one Philox
+    generator, re-keyed to ``(seed, period)`` each period, serves them all;
+    neither changes a draw. Bit-identical output for a fixed scenario. Raises
+    SimulationHalt (carrying the partial path) if the price leaves the positive
     representable range, which cannot happen while ``impact < 1``.
     """
     price_obs = scenario.price_observable
     schedule = [_News(event, price_obs) for event in scenario.news.events] or [_News(None, price_obs)]
-    cohorts = [
-        _QuantumCohort(pop) if pop.kind == "quantum" else _ClassicalCohort(pop, price_obs)
-        for pop in scenario.populations
-    ]
-    total = scenario.total_agents
+    cohorts = []
+    for kind, run in itertools.groupby(scenario.populations, key=lambda pop: pop.kind):
+        cohorts += [_QuantumCohort(list(run))] if kind == "quantum" else [_ClassicalCohort(pop, price_obs) for pop in run]
+    bits = Philox(key=_period_key(scenario.seed, 0))
+    fresh = bits.state  # counter 0 and an empty word buffer: the start of a stream
 
     price = float(scenario.initial_price)
     records: list[PeriodRecord] = []
     for period in range(scenario.periods):
         news = schedule[period % len(schedule)]
-        # cohorts hold contiguous agent ranges, so they read one stream in turn
-        bits = Philox(key=_period_key(scenario.seed, period))
+        fresh["state"]["key"] = _period_key(scenario.seed, period)
+        bits.state = fresh  # a new stream; cohorts hold contiguous agent ranges and read it in turn
         ups = sum(int(np.count_nonzero(cohort.step(news, bits) < news.ups)) for cohort in cohorts)
-        f_up = ups / total
+        f_up = ups / scenario.total_agents
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))
         try:

@@ -342,6 +342,23 @@ def test_unknown_outcome_rejected(price):
         projector_for(price, 0.5)
 
 
+@pytest.mark.parametrize("outcome", ["1", True, None, float("nan")], ids=["string", "bool", "none", "nan"])
+def test_projector_for_names_an_outcome_that_is_not_a_number(price, outcome):
+    with pytest.raises(ValueError) as info:
+        projector_for(price, outcome)
+    assert str(info.value) == f"outcome must be a finite number in (-inf, inf), got {outcome!r}"
+    assert projector_for(price, np.float32(1.0)) is projector_for(price, 1)
+
+
+@pytest.mark.parametrize("t", ["0.5", True, None, float("inf")], ids=["string", "bool", "none", "inf"])
+def test_evolve_names_a_time_that_is_not_a_number(t):
+    ham = Hamiltonian([[0, 1], [1, 0]])
+    with pytest.raises(ValueError) as info:
+        evolve(StateVector([1, 0]), ham, t)
+    assert str(info.value) == f"evolution time must be a finite number in (-inf, inf), got {t!r}"
+    assert np.array_equal(evolve(StateVector([1, 0]), ham, np.float32(0.5)).amplitudes, evolve(StateVector([1, 0]), ham, 0.5).amplitudes)
+
+
 def test_projector_type_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
         Projector(np.array([[0.5, 0.0], [0.0, 2.0]]))

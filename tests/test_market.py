@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from oracles import mean_field_moments, reference_market
 from qexpect import market
@@ -345,6 +346,26 @@ ORACLE_SCENARIOS = {
         price_observable=DEGENERATE,
         news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
     ),
+    # one cohort of three populations; the total, 301, ends each period
+    # inside a Philox block
+    "three_adjacent_quantum_301": dict(
+        populations=(
+            AgentPopulation(97, StateVector([0.6, 0.8j]), "quantum"),
+            AgentPopulation(101, BALANCED, "quantum"),
+            AgentPopulation(103, StateVector([0.8, -0.6]), "quantum"),
+        ),
+        news=NewsSchedule((NewsEvent(RABI, 0.5), NewsEvent(SPLITTING, 0.9, TILTED))),
+    ),
+    # one d = 3 cohort of two populations that keeps a row per drawn
+    # (group, rank-2 outcome)
+    "two_adjacent_degenerate_299": dict(
+        populations=(
+            AgentPopulation(150, StateVector([0.5, 0.5, np.sqrt(0.5)]), "quantum"),
+            AgentPopulation(149, StateVector([0.6, 0.0, 0.8j]), "quantum"),
+        ),
+        price_observable=DEGENERATE,
+        news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
+    ),
 }
 
 
@@ -353,6 +374,28 @@ def test_market_matches_per_agent_reference(name):
     sc = scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
     path = run_market(sc)
     assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
+
+
+def test_each_period_starts_a_fresh_stream(monkeypatch):
+    # 301 agents read 75 blocks and one word of the 76th, so period 0 ends
+    # with three unread words; the re-keyed generator must not hand them on
+    n, calls = 301, []
+    draw = market._draw_outcomes
+
+    def recording_draw(bits, *args):
+        before = bits.state
+        result = draw(bits, *args)
+        calls.append((bits, before, bits.state))
+        return result
+
+    monkeypatch.setattr(market, "_draw_outcomes", recording_draw)
+    run_market(scenario(seed=11, populations=(AgentPopulation(n, BALANCED, "quantum"),), periods=2))
+    (bits_0, _, after_0), (bits_1, before_1, _) = calls
+    assert bits_1 is bits_0  # one generator per run
+    assert after_0["buffer_pos"] == 1
+    replay = Philox(key=market._period_key(11, 0))
+    replay.state = before_1
+    assert (replay.random_raw(n + 3) == Philox(key=market._period_key(11, 1)).random_raw(n + 3)).all()
 
 
 def test_classical_cohort_matches_its_bayes_reference():
@@ -507,7 +550,8 @@ def test_agents_at_chunk_edges_draw_from_their_own_stream(monkeypatch):
 
 def test_quantum_cohorts_stay_bounded(monkeypatch):
     # market_deep's shape: every period branches every belief state, yet
-    # rank-1 collapse leaves at most d distinct states per cohort
+    # rank-1 collapse leaves at most d distinct states per cohort; the two
+    # adjacent quantum populations form one cohort, so one step a period
     def lean(theta):
         return StateVector([np.cos(theta), np.sin(theta) * np.exp(0.5j)])
 
@@ -535,7 +579,7 @@ def test_quantum_cohorts_stay_bounded(monkeypatch):
 
     monkeypatch.setattr(market._QuantumCohort, "step", recording_step)
     run_market(sc)
-    assert len(rows) == 2 * 11
+    assert len(rows) == 11
     assert max(rows) <= 2
 
 
@@ -633,6 +677,17 @@ def test_a_drawn_rank_2_outcome_of_zero_weight_cannot_collapse(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def test_an_int_past_the_digit_limit_is_named_by_its_size():
+    # repr of 10**5000 raises Python's own 4300-digit error, which names no argument
+    with pytest.raises(ValueError) as info:
+        AgentPopulation(10**5000, PLUS, "quantum")
+    bits = (10**5000).bit_length()
+    assert str(info.value) == f"population count must be an integer in [1, {2**64 - 1}], got an int of {bits} bits"
+    with pytest.raises(ValueError) as info:
+        NewsEvent(RABI, -(10**5000))
+    assert str(info.value) == f"news duration must be a finite number in [0, inf), got an int of {bits} bits"
 
 
 def test_population_validation():
