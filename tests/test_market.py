@@ -493,6 +493,12 @@ def test_inverse_cdf_matches_the_float_rule():
     idx = market._inverse_cdf(market._thresholds(cumulative), draws, membership)
     assert (idx == expected).all()
     assert not (idx[membership % 7 == 0] == 1).any()
+    # written into the caller's array; with a single outcome every draw takes index 0
+    out = np.full(len(draws), -1, dtype=np.intp)
+    assert market._inverse_cdf(market._thresholds(cumulative), draws, membership, out) is out
+    assert (out == expected).all()
+    market._inverse_cdf(market._thresholds(np.full((50, 1), 0.5)), draws, membership, out)  # the last column is never read
+    assert not out.any()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
