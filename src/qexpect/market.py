@@ -159,7 +159,10 @@ class Scenario:
 
 
 def _period_key(seed: int, period: int) -> np.ndarray:
-    return SeedSequence([seed, period]).generate_state(2, np.uint64)
+    """``SeedSequence([seed, period])``'s key, given the uint32 words it coerces
+    that list to: each integer's little-endian 32-bit words, at least one."""
+    words = [w for n in (seed, period) for w in ((n & 0xFFFFFFFF, n >> 32) if n >> 32 else (n,))]
+    return SeedSequence(np.array(words, np.uint32)).generate_state(2, np.uint64)
 
 
 def agent_stream(seed: int, agent_index: int, period: int) -> Generator:
@@ -201,11 +204,12 @@ def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarr
 
 
 def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None) -> np.ndarray:
-    """Outcome index of each of the next ``count`` agents on ``bits``: each
-    agent reads the next word ``w`` and keeps it as ``k = w >> 11``. Words are
-    read ``_CHUNK`` agents at a time and decided while they are still in cache."""
+    """Outcome index of each of the next ``count`` agents on ``bits``, in the
+    narrowest unsigned type that holds them (one byte for up to 256 outcomes):
+    each agent reads the next word ``w`` and keeps it as ``k = w >> 11``. Words
+    are read ``_CHUNK`` agents at a time and decided while they are still in cache."""
     thresholds = _thresholds(cumulative)
-    idx = np.empty(count, dtype=np.intp)
+    idx = np.empty(count, dtype=np.min_scalar_type(thresholds.shape[-1] - 1))
     for lo in range(0, count, _CHUNK):
         draws = bits.random_raw(min(_CHUNK, count - lo))
         draws >>= 11
@@ -275,7 +279,7 @@ def run_sequential_ensemble(
     idx1 = cohort.measure(first.layout, Philox(key=_period_key(seed, 0)))
     idx2 = cohort.measure(second.layout, Philox(key=_period_key(seed, 1)))
     k2 = len(second.outcomes)
-    counts = np.bincount(idx1 * k2 + idx2, minlength=len(first.outcomes) * k2)  # row-major (alpha, beta)
+    counts = np.bincount(idx1.astype(np.intp) * k2 + idx2, minlength=len(first.outcomes) * k2)  # row-major (alpha, beta)
     pairs = itertools.product(first.outcomes, second.outcomes)
     return JointTable("first", "second", tuple((a, b, n / population.count) for (a, b), n in zip(pairs, counts)))
 
@@ -304,11 +308,14 @@ class _News:
 
 class _QuantumCohort:
     """A run of adjacent quantum populations as rows of belief states, agents in
-    order: agent ``i`` holds ``states[membership[i]]``, at first its population's."""
+    order: agent ``i`` holds ``states[membership[i]]``, at first its population's.
+    ``membership`` is in the narrowest unsigned type for the row count, one byte
+    an agent for up to 256 rows."""
 
     def __init__(self, populations: list[AgentPopulation]):
         self.states = np.array([pop.initial_state.amplitudes for pop in populations])
-        self.membership = np.repeat(np.arange(len(populations)), [pop.count for pop in populations])
+        rows = np.arange(len(populations), dtype=np.min_scalar_type(len(populations) - 1))
+        self.membership = np.repeat(rows, [pop.count for pop in populations])
 
     def step(self, news: _News, bits: Philox) -> np.ndarray:
         """Evolve every agent under the news, then :meth:`measure` it."""
@@ -334,7 +341,7 @@ class _QuantumCohort:
             self.membership = idx
             return
         n_outcomes = len(layout.ranks)
-        branch = self.membership * n_outcomes + idx
+        branch = self.membership.astype(np.intp) * n_outcomes + idx
         drawn = np.bincount(branch, minlength=len(self.states) * n_outcomes).reshape(-1, n_outcomes) > 0
         new_row = np.empty(drawn.shape, dtype=np.intp)  # (group, outcome) -> row of the new states
         blocks, count = [], 0
@@ -354,7 +361,7 @@ class _QuantumCohort:
             blocks.append(block)
             count += len(block)
         self.states = np.concatenate(blocks)
-        self.membership = new_row.ravel()[branch]
+        self.membership = new_row.ravel().astype(np.min_scalar_type(count - 1))[branch]
 
 
 class _ClassicalCohort:

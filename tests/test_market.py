@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.random import Philox
+from numpy.random import Philox, SeedSequence
 
 from oracles import mean_field_moments, reference_market
 from qexpect import market
@@ -242,6 +243,24 @@ def test_sequential_ensemble_matches_per_agent_streams():
         assert table.rows == tuple((a, b, k / n) for (a, b), k in counts.items())
 
 
+def test_sequential_ensemble_of_17_outcomes_matches_per_agent_streams():
+    """With 17 outcomes each, the (first, second) cell index runs to 288:
+    past what the one-byte outcome indices hold."""
+    rng = np.random.default_rng(17)
+    bases = [np.linalg.qr(rng.normal(size=(17, 17)) + 1j * rng.normal(size=(17, 17)))[0] for _ in range(2)]
+    first, second = (make_observable(b, np.linspace(1.0, -1.0, 17)) for b in bases)
+    psi = StateVector(rng.normal(size=17) + 1j * rng.normal(size=17))
+    n, seed = 400, 3
+    counts = np.zeros((17, 17), dtype=int)
+    for i in range(n):
+        a, post = sample_measurement(psi, first, agent_stream(seed, i, 0))
+        b, _ = sample_measurement(post, second, agent_stream(seed, i, 1))
+        counts[first.outcomes.index(a), second.outcomes.index(b)] += 1
+    assert counts.ravel()[256:].sum() > 0  # some agents land past cell 255
+    table = run_sequential_ensemble(AgentPopulation(n, psi, "quantum"), first, second, "ij", seed)
+    assert [p for _, _, p in table.rows] == list(counts.ravel() / n)
+
+
 def test_ensemble_and_sequential_ensemble_share_one_draw_layout():
     """Both samplers give agent ``i`` word ``i`` of the stream keyed by
     ``(seed, 0)``, so the ensemble's counts are the sequential table's
@@ -320,6 +339,16 @@ _c, _s = np.cos(0.7), np.sin(0.7)
 DEGENERATE_TILTED = make_observable([[_c, _s, 0], [-_s, _c, 0], [0, 0, 1]], [1.0, -1.0, -1.0])
 COUPLING_3 = Hamiltonian([[0.0, 1.0, 0.5], [1.0, 0.3, 0.2j], [0.5, -0.2j, -0.4]])
 
+
+def _small_d3_populations(n: int, seed: int) -> tuple[AgentPopulation, ...]:
+    """``n`` adjacent quantum populations of 2-3 agents, each its own random d = 3 state."""
+    rng = np.random.default_rng(seed)
+    return tuple(
+        AgentPopulation(int(rng.integers(2, 4)), StateVector(rng.normal(size=3) + 1j * rng.normal(size=3)), "quantum")
+        for _ in range(n)
+    )
+
+
 ORACLE_SCENARIOS = {
     "rabi_tilted_override": dict(
         populations=(AgentPopulation(300, StateVector([0.6, 0.8]), "quantum"),),
@@ -366,6 +395,20 @@ ORACLE_SCENARIOS = {
         price_observable=DEGENERATE,
         news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
     ),
+    # one-byte membership (200 rows), but the Lüders collapse's (row, outcome)
+    # index passes 255
+    "degenerate_200_small_populations": dict(
+        populations=_small_d3_populations(200, 200),
+        price_observable=DEGENERATE,
+        news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
+    ),
+    # 300 rows: membership starts two bytes wide, and the first collapse
+    # keeps it so (260 groups draw the rank-2 outcome)
+    "degenerate_300_small_populations": dict(
+        populations=_small_d3_populations(300, 300),
+        price_observable=DEGENERATE,
+        news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
+    ),
 }
 
 
@@ -396,6 +439,19 @@ def test_each_period_starts_a_fresh_stream(monkeypatch):
     replay = Philox(key=market._period_key(11, 0))
     replay.state = before_1
     assert (replay.random_raw(n + 3) == Philox(key=market._period_key(11, 1)).random_raw(n + 3)).all()
+
+
+def test_period_key_is_the_seed_sequence_key_of_seed_and_period():
+    """The key is built from the uint32 words SeedSequence coerces
+    ``[seed, period]`` to, one or two per integer."""
+    edges = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 1)
+    rng = np.random.default_rng(45)
+    pairs = [(s, t) for s in edges for t in edges]
+    words, shifts = rng.integers(0, 2**64, (500, 2), np.uint64), rng.integers(0, 64, (500, 2))
+    pairs += [(int(s) >> int(a), int(t) >> int(b)) for (s, t), (a, b) in zip(words, shifts)]
+    for seed, period in pairs:
+        expected = SeedSequence([seed, period]).generate_state(2, np.uint64)
+        assert (market._period_key(seed, period) == expected).all(), (seed, period)
 
 
 def test_classical_cohort_matches_its_bayes_reference():
@@ -587,6 +643,25 @@ def test_quantum_cohorts_stay_bounded(monkeypatch):
     run_market(sc)
     assert len(rows) == 11
     assert max(rows) <= 2
+
+
+def test_market_memory_grows_by_at_most_3_bytes_an_agent():
+    """Outcome indices, cohort membership and the up comparison take one byte
+    an agent each: the traced peak of run_market on configs/market.json scaled
+    20 and 100 times (110k and 550k agents) grows by at most 3 bytes per added
+    agent."""
+    base = scenario_from_document(load_document(str(Path(__file__).parent.parent / "configs" / "market.json")))
+    peaks = []
+    for scale in (20, 100):
+        pops = tuple(dataclasses.replace(pop, count=pop.count * scale) for pop in base.populations)
+        sc = dataclasses.replace(base, populations=pops)
+        tracemalloc.start()
+        try:
+            run_market(sc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (80 * base.total_agents) <= 3
 
 
 def test_identical_scenarios_reproduce_bitwise():
