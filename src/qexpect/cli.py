@@ -14,7 +14,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,21 +58,6 @@ def _unsigned_zeros(text: str) -> str:
 def fmt(x: float) -> str:
     """Fixed 12-decimal rendering of every numeric result; zero is unsigned."""
     return _unsigned_zeros("%.12f" % float(x))
-
-
-@dataclass
-class RunReport:
-    """Self-reproducing run artifact: replaying ``config`` with ``seed``
-    regenerates ``results`` bit-exactly (duration is informational only)."""
-
-    config: dict
-    seed: int
-    version: str
-    results: dict
-    duration_seconds: float
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
 
 
 @functools.cache
@@ -185,7 +169,9 @@ def _price_csv(path: PricePath) -> str:
 def _cmd_simulate_market(opts, out) -> int:
     """Write each requested file first and stdout last, so a file that cannot
     be written leaves stdout empty; a halted run's partial CSV goes wherever
-    the whole one would, and it writes no report."""
+    the whole one would, and it writes no report. The report reproduces its
+    run: replaying ``config`` with ``seed`` regenerates ``results`` bit-exactly;
+    the duration is informational."""
     scenario = scenario_from_document(load_document(opts.config))
     if opts.seed is not None:
         scenario = dataclasses.replace(scenario, seed=opts.seed)
@@ -200,14 +186,14 @@ def _cmd_simulate_market(opts, out) -> int:
     if opts.csv:
         _write_file("csv", opts.csv, csv_text)
     if opts.report and halt is None:
-        report = RunReport(
-            config=scenario_to_dict(scenario),
-            seed=scenario.seed,
-            version=__version__,
-            results={"price_path": dataclasses.asdict(path)},
-            duration_seconds=duration,
-        )
-        _write_file("report", opts.report, report.to_json())
+        report = {
+            "config": scenario_to_dict(scenario),
+            "seed": scenario.seed,
+            "version": __version__,
+            "results": {"price_path": dataclasses.asdict(path)},
+            "duration_seconds": duration,
+        }
+        _write_file("report", opts.report, json.dumps(report, indent=2) + "\n")
     if halt is not None:
         sys.stderr.write(f"error: {halt}\n")
     if not opts.csv:

@@ -191,7 +191,8 @@ class Observable:
     Repeated eigenvalues are allowed; outcomes then label eigenspaces and
     :func:`projector_for` returns the rank-``multiplicity`` projector.
     ``basis`` (``d x d``, ``d >= 2``) holds the eigenvectors as columns, in eigenvector order,
-    with a Gram matrix within 1e-8 of the identity; :attr:`layout` groups them by outcome.
+    with a Gram matrix within 1e-8 of the identity; one that deviates by more than 1e-12 is
+    stored as its nearest orthonormal basis. :attr:`layout` groups them by outcome.
     """
 
     basis: np.ndarray
@@ -216,6 +217,9 @@ class Observable:
             dev = np.abs(basis.conj().T @ basis - np.eye(d)).max()
         if not dev <= INPUT_TOL:
             raise ValueError(f"eigenvectors are not orthonormal (Gram deviation {dev:.3e})")
+        if dev > 1e-12:  # the nearest orthonormal basis, U Vᴴ of the SVD U S Vᴴ, passes every later check
+            u, _, vh = np.linalg.svd(basis)
+            basis = u @ vh
         object.__setattr__(self, "basis", _frozen(basis))
         object.__setattr__(self, "eigenvalues", values)
 

@@ -25,7 +25,6 @@ from .measurement import (
     ImpossibleOutcomeError,
     JointTable,
     OutcomeDistribution,
-    born_distribution,
     born_weights,
     collapse,
 )
@@ -217,10 +216,6 @@ def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership:
     return idx
 
 
-def _cumulative(dist: OutcomeDistribution) -> np.ndarray:
-    return np.cumsum([p for _, p in dist.entries])
-
-
 # ---------------------------------------------------------------------------
 # Measurement sampling
 
@@ -233,9 +228,9 @@ def sample_measurement(
 
     Outcomes of zero probability are never drawn.
     """
-    dist = born_distribution(psi, obs)
-    k = int(_inverse_cdf(_thresholds(_cumulative(dist)), np.uint64(rng.random() * 2.0**53)))
-    return dist.outcomes[k], collapse(psi, obs.layout.projectors[k])
+    check_dims(state=psi, observable=obs)
+    k = int(_inverse_cdf(_thresholds(np.cumsum(born_weights(psi.amplitudes, obs))), np.uint64(rng.random() * 2.0**53)))
+    return obs.outcomes[k], collapse(psi, obs.layout.projectors[k])
 
 
 def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> OutcomeDistribution:
@@ -247,10 +242,11 @@ def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> Out
             "run_ensemble expects a quantum population; classical agents use "
             "the classical_agent_step pipeline"
         )
-    dist = born_distribution(population.initial_state, obs)
-    idx = _draw_outcomes(Philox(key=_period_key(check_integer("seed", seed, 0, 2**64 - 1), 0)), _cumulative(dist), population.count)
-    counts = np.bincount(idx, minlength=len(dist.entries))
-    return OutcomeDistribution(tuple(zip(dist.outcomes, counts / population.count)))
+    check_dims(state=population.initial_state, observable=obs)
+    weights = born_weights(population.initial_state.amplitudes, obs)
+    idx = _draw_outcomes(Philox(key=_period_key(check_integer("seed", seed, 0, 2**64 - 1), 0)), np.cumsum(weights), population.count)
+    counts = np.bincount(idx, minlength=len(weights))
+    return OutcomeDistribution(tuple(zip(obs.outcomes, counts / population.count)))
 
 
 def run_sequential_ensemble(
@@ -276,8 +272,8 @@ def run_sequential_ensemble(
     check_dims(state=population.initial_state, first=first, second=second)
     seed = check_integer("seed", seed, 0, 2**64 - 1)
     cohort = _QuantumCohort([population])
-    idx1 = cohort.measure(first.layout, Philox(key=_period_key(seed, 0)))
-    idx2 = cohort.measure(second.layout, Philox(key=_period_key(seed, 1)))
+    idx1 = cohort.measure(first, Philox(key=_period_key(seed, 0)))
+    idx2 = cohort.measure(second, Philox(key=_period_key(seed, 1)))
     k2 = len(second.outcomes)
     counts = np.bincount(idx1.astype(np.intp) * k2 + idx2, minlength=len(first.outcomes) * k2)  # row-major (alpha, beta)
     pairs = itertools.product(first.outcomes, second.outcomes)
@@ -291,11 +287,11 @@ def run_sequential_ensemble(
 class _News:
     """One period's news, prepared once per news event: the propagator
     ``exp(-iHt)`` and classical likelihoods (None without news), and the
-    spectral layout of the observable measured after it."""
+    observable measured after it."""
 
     def __init__(self, event: NewsEvent | None, price_obs: Observable):
-        obs = price_obs if event is None or event.observable is None else event.observable
-        self.layout = layout = obs.layout
+        self.obs = price_obs if event is None or event.observable is None else event.observable
+        layout = self.obs.layout
         self.ups = sum(o > 0 for o in layout.outcomes)  # outcomes descend: indices below this are up
         self.unitary = self.likelihoods = None
         if event is not None:
@@ -321,18 +317,17 @@ class _QuantumCohort:
         """Evolve every agent under the news, then :meth:`measure` it."""
         if news.unitary is not None:
             self.states = self.states @ news.unitary.T
-        return self.measure(news.layout, bits)
+        return self.measure(news.obs, bits)
 
-    def measure(self, layout: SpectralLayout, bits: Philox) -> np.ndarray:
+    def measure(self, obs: Observable, bits: Philox) -> np.ndarray:
         """Sample and collapse every agent, drawing the cohort's agents in
         order from ``bits``; returns each agent's outcome index."""
-        amplitudes = self.states @ layout.columns.conj()
-        weights = np.add.reduceat(np.abs(amplitudes) ** 2, layout.starts, axis=1)
+        weights = born_weights(self.states, obs)
         idx = _draw_outcomes(bits, np.cumsum(weights, axis=1), len(self.membership), self.membership)
-        self._collapse(amplitudes, weights, idx, layout)
+        self._collapse(weights, idx, obs.layout)
         return idx
 
-    def _collapse(self, amplitudes: np.ndarray, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
+    def _collapse(self, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
         """Project every agent onto its outcome's eigenspace. All agents of a
         rank-1 outcome share its eigenvector's row (a global phase changes no
         later Born weight); a rank > 1 outcome keeps a row per (group, outcome)."""
@@ -341,8 +336,11 @@ class _QuantumCohort:
             self.membership = idx
             return
         n_outcomes = len(layout.ranks)
-        branch = self.membership.astype(np.intp) * n_outcomes + idx
-        drawn = np.bincount(branch, minlength=len(self.states) * n_outcomes).reshape(-1, n_outcomes) > 0
+        branch = np.multiply(self.membership, n_outcomes, dtype=np.min_scalar_type(len(self.states) * n_outcomes - 1))
+        np.add(branch, idx, out=branch, casting="unsafe")  # group * n_outcomes + outcome fits, whatever idx's type
+        drawn = np.zeros((len(self.states), n_outcomes), dtype=bool)
+        drawn.reshape(-1)[branch] = True
+        amplitudes = self.states @ layout.columns.conj()
         new_row = np.empty(drawn.shape, dtype=np.intp)  # (group, outcome) -> row of the new states
         blocks, count = [], 0
         for k, (lo, rank) in enumerate(zip(layout.starts, layout.ranks)):

@@ -1,9 +1,10 @@
 """Brute-force reference implementations, independent of the library's code
 paths: everything here works on raw numpy arrays via explicit dense matrix
 arithmetic (chained projector products, Taylor-series exponentials), except
-the reference market, which steps each agent alone through the library's
-single-state operations. The mean-field market reads a Scenario's raw
-arrays and uses nothing of ``qexpect.market`` but that data."""
+the reference market, which steps each quantum agent alone through the
+library's single-state operations (its classical agents use only this
+module's arithmetic). The mean-field market reads a Scenario's raw arrays
+and uses nothing of ``qexpect.market`` but that data."""
 
 import numpy as np
 
@@ -33,6 +34,11 @@ def taylor_expm(matrix: np.ndarray) -> np.ndarray:
 def rank1_projector(column: np.ndarray) -> np.ndarray:
     v = np.asarray(column, dtype=complex).reshape(-1, 1)
     return v @ v.conj().T
+
+
+def span_projector(columns: np.ndarray) -> np.ndarray:
+    """The projector onto the span of orthonormal columns, as a sum of rank-1 projectors."""
+    return sum(rank1_projector(e) for e in columns.T)
 
 
 def chained_probability(psi: np.ndarray, *projectors: np.ndarray) -> float:
@@ -104,14 +110,25 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def reference_market(scenario) -> list[tuple[float, float, float]]:
-    """``(price, up_fraction, down_fraction)`` per period of a market of
-    quantum agents, each stepped alone: ``evolve`` its own state, then
-    ``sample_measurement`` with its own ``agent_stream(seed, i, period)``.
+    """``(price, up_fraction, down_fraction)`` per period, every agent stepped
+    alone on its own ``agent_stream(seed, i, period)``. A quantum agent
+    ``evolve``s its own state, then ``sample_measurement`` draws and collapses
+    it. A classical agent holds a belief over the price observable's outcomes,
+    at first the Born weights of its state by chained projector products; a
+    period's news multiplies it by each outcome's stay probability
+    ``|<e|U|e>|^2``, averaged over its eigenvectors as in
+    :func:`mean_field_moments`, and renormalises it, and the agent draws the
+    first outcome whose cumulative belief exceeds its stream's first uniform.
     No state is shared between agents, so nothing depends on how a market
     groups them."""
-    if any(pop.kind != "quantum" for pop in scenario.populations):
-        raise ValueError("the reference market steps quantum agents only")
-    states = [pop.initial_state for pop in scenario.populations for _ in range(pop.count)]
+    agents = []
+    for pop in scenario.populations:
+        if pop.kind == "quantum":
+            agents += [("quantum", pop.initial_state) for _ in range(pop.count)]
+        else:
+            psi = pop.initial_state.amplitudes
+            prior = [chained_probability(psi, span_projector(cols)) for _, cols in eigenspaces(scenario.price_observable)]
+            agents += [("classical", np.array(prior)) for _ in range(pop.count)]
     price = float(scenario.initial_price)
     rows = []
     for period in range(scenario.periods):
@@ -119,13 +136,26 @@ def reference_market(scenario) -> list[tuple[float, float, float]]:
         obs = scenario.price_observable
         if event is not None and event.observable is not None:
             obs = event.observable
+        spaces = eigenspaces(obs)
+        stay = None
+        if event is not None:
+            unitary = taylor_expm(-1j * event.hamiltonian.matrix * event.duration)
+            stay = np.array([np.mean([chained_probability(unitary @ e, rank1_projector(e)) for e in cols.T]) for _, cols in spaces])
         ups = 0
-        for i, psi in enumerate(states):
-            if event is not None:
-                psi = evolve(psi, event.hamiltonian, event.duration)
-            outcome, states[i] = sample_measurement(psi, obs, agent_stream(scenario.seed, i, period))
+        for i, (kind, state) in enumerate(agents):
+            rng = agent_stream(scenario.seed, i, period)
+            if kind == "quantum":
+                if event is not None:
+                    state = evolve(state, event.hamiltonian, event.duration)
+                outcome, state = sample_measurement(state, obs, rng)
+            else:
+                if stay is not None:
+                    state = state * stay / np.sum(state * stay)
+                u = rng.random()
+                outcome = spaces[sum(u >= c for c in np.cumsum(state)[:-1])][0]
+            agents[i] = (kind, state)
             ups += outcome > 0
-        f_up = ups / len(states)
+        f_up = ups / len(agents)
         f_down = 1.0 - f_up
         price = price * (1.0 + scenario.impact * (f_up - f_down))
         rows.append((price, f_up, f_down))
@@ -152,22 +182,19 @@ def mean_field_moments(scenario) -> list[tuple[float, float]]:
     up probability ``p``, so its up count has variance ``n p (1 - p)``.
     """
 
-    def projector(columns):
-        return sum(rank1_projector(e) for e in columns.T)
-
     cohorts = []
     for pop in scenario.populations:
         psi = np.asarray(pop.initial_state.amplitudes, dtype=complex)
         if pop.kind == "quantum":
             cohorts.append(["quantum", pop.count, np.outer(psi, psi.conj())])
         else:
-            prior = [chained_probability(psi, projector(cols)) for _, cols in eigenspaces(scenario.price_observable)]
+            prior = [chained_probability(psi, span_projector(cols)) for _, cols in eigenspaces(scenario.price_observable)]
             cohorts.append(["classical", pop.count, np.array(prior)])
     moments = []
     for period in range(scenario.periods):
         event = scenario.news.event_for(period)
         obs = scenario.price_observable if event is None or event.observable is None else event.observable
-        spaces = [(o, projector(cols), cols) for o, cols in eigenspaces(obs)]
+        spaces = [(o, span_projector(cols), cols) for o, cols in eigenspaces(obs)]
         unitary = None if event is None else taylor_expm(-1j * event.hamiltonian.matrix * event.duration)
         mean = var = 0.0
         for cohort in cohorts:

@@ -12,7 +12,7 @@ import pytest
 from qexpect import cli
 from qexpect.cli import fmt, main
 from qexpect.config import document_from_dict, load_document, scenario_from_document
-from qexpect.hilbert import evolve
+from qexpect.hilbert import evolve, make_observable
 from qexpect.market import run_market
 from qexpect.measurement import born_distribution, evolved_born_grid
 
@@ -455,6 +455,68 @@ def test_classical_population_with_an_override_of_other_outcomes_exits_1(tmp_pat
     assert code == 1
     assert output == ""
     assert "news[0].observable" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bases rounded to 8 decimals
+
+
+def _rounded_bases_config(rng, d: int) -> dict:
+    """Every analytic section and a market over two random d-dimensional bases,
+    each eigenvector entry rounded to 8 decimals, so their Gram deviation lies
+    between about 1e-9 and a little past the 1e-8 that Observable accepts."""
+
+    def observable():
+        values = [1.0, -1.0] + [float(v) for v in rng.choice([1.0, -1.0], d - 2)]
+        return {"vectors": [_pairs(np.round(v, 8)) for v in oracles.random_unitary(rng, d).T], "eigenvalues": values}
+
+    return {
+        "version": 1,
+        "states": {"psi": _pairs(oracles.random_state_array(rng, d))},
+        "observables": {"a": observable(), "b": observable()},
+        "hamiltonians": {"h": {"matrix": [_pairs(row) for row in oracles.random_hermitian(rng, d)]}},
+        "born": {"state": "psi", "observable": "a"},
+        "evolve": {"state": "psi", "hamiltonian": "h", "observable": "a"},
+        "interference": {"state": "psi", "target_observable": "b", "target_outcome": 1.0, "partition": "a"},
+        "order_effect": {"state": "psi", "first": "a", "second": "b"},
+        "uncertainty": {"state": "psi", "first": "a", "second": "b"},
+        "ensemble": {"state": "psi", "observable": "a"},
+        "scenario": {
+            "seed": 3,
+            "periods": 4,
+            "initial_price": 100.0,
+            "impact": 0.05,
+            "price_observable": "a",
+            "populations": [{"kind": "quantum", "count": 301, "state": "psi"}, {"kind": "classical", "count": 203, "state": "psi"}],
+            "news": [{"hamiltonian": "h", "duration": 0.5}],
+        },
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_every_command_answers_for_an_accepted_rounded_basis(d, tmp_path, capsys):
+    """A basis that Observable accepts fails no later check: on 36 configs
+    whose two bases it accepts, every command exits 0, and the printed Born
+    weights sum to 1."""
+    rng = np.random.default_rng(1900 + d)
+    configs = []
+    while len(configs) < 36:
+        raw = _rounded_bases_config(rng, d)
+        try:
+            for obs in raw["observables"].values():
+                make_observable(np.array(obs["vectors"]) @ [1, 1j], obs["eigenvalues"])
+        except ValueError:  # rounding moved the Gram matrix past 1e-8
+            continue
+        configs.append(raw)
+    for n, raw in enumerate(configs):
+        path = tmp_path / f"rounded_{n}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        for argv in (["born"], ["ensemble", "--n", "999"], ["order-effect"], ["interference"], ["uncertainty"],
+                     ["evolve", "--t", "1.5", "--grid", "5"], ["simulate-market"]):
+            code, output = run_cli(argv[0], str(path), *argv[1:])
+            assert code == 0, (n, argv, capsys.readouterr().err)
+            if argv == ["born"]:
+                assert abs(sum(float(line.rsplit("=", 1)[1]) for line in output.splitlines()) - 1.0) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

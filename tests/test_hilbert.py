@@ -217,19 +217,21 @@ def test_make_observable_rejects_with_its_message(name):
 
 
 @pytest.mark.parametrize(
-    "vectors",
+    "vectors, atol",
     [
-        [[3, 4], [-4, 3]],
-        [[2j, 0], [0, -0.5]],
-        [[1, 0], [0.99e-8, 1]],
-        [[1, 1, 0], [1, -1, 0], [0, 0, 7]],
+        ([[3, 4], [-4, 3]], 1e-15),
+        ([[2j, 0], [0, -0.5]], 1e-15),
+        # a Gram deviation past 1e-12: stored as the nearest orthonormal basis
+        ([[1, 0], [0.99e-8, 1]], 1e-8),
+        ([[1, 1, 0], [1, -1, 0], [0, 0, 7]], 1e-15),
     ],
     ids=["unnormalised", "unnormalised complex", "gram just under 1e-8", "unnormalised d=3"],
 )
-def test_make_observable_accepts_and_normalizes_each_column(vectors):
+def test_make_observable_accepts_and_normalizes_each_column(vectors, atol):
     obs = make_observable(vectors, np.arange(len(vectors), dtype=float))
     expected = np.array(vectors, dtype=complex).T
-    assert np.allclose(obs.basis, expected / np.linalg.norm(expected, axis=0), atol=1e-15)
+    assert np.allclose(obs.basis, expected / np.linalg.norm(expected, axis=0), rtol=0, atol=atol)
+    assert np.abs(obs.basis.conj().T @ obs.basis - np.eye(len(vectors))).max() <= 1e-15
     for dtype in (np.float32, np.int64):  # numpy outcome labels are kept as plain floats
         values = make_observable(vectors, np.arange(len(vectors), dtype=dtype)).eigenvalues
         assert values == obs.eigenvalues and all(type(v) is float for v in values)

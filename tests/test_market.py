@@ -349,6 +349,8 @@ def _small_d3_populations(n: int, seed: int) -> tuple[AgentPopulation, ...]:
     )
 
 
+_MARKET_JSON = scenario_from_document(load_document(str(Path(__file__).parent.parent / "configs" / "market.json")))
+
 ORACLE_SCENARIOS = {
     "rabi_tilted_override": dict(
         populations=(AgentPopulation(300, StateVector([0.6, 0.8]), "quantum"),),
@@ -406,6 +408,34 @@ ORACLE_SCENARIOS = {
     # keeps it so (260 groups draw the rank-2 outcome)
     "degenerate_300_small_populations": dict(
         populations=_small_d3_populations(300, 300),
+        price_observable=DEGENERATE,
+        news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
+    ),
+    # the shipped scenario at a tenth of its counts, quantum and classical
+    "market_json_tenth": dict(
+        seed=_MARKET_JSON.seed,
+        populations=tuple(dataclasses.replace(pop, count=pop.count // 10) for pop in _MARKET_JSON.populations),
+        news=_MARKET_JSON.news,
+        price_observable=_MARKET_JSON.price_observable,
+    ),
+    # a classical population between two quantum runs; every count ends
+    # inside a Philox block
+    "classical_between_quantum_997_601_898": dict(
+        populations=(
+            AgentPopulation(997, BALANCED, "quantum"),
+            AgentPopulation(601, StateVector([0.6, 0.8]), "classical"),
+            AgentPopulation(898, StateVector([0.6, 0.8]), "quantum"),
+        ),
+        news=NewsSchedule((NewsEvent(RABI, 0.4), NewsEvent(Hamiltonian(0.7 * SPLITTING.matrix), 0.9, TILTED))),
+    ),
+    # d = 3 with a rank-2 outcome: the news likelihoods differ between
+    # outcomes, so the classical belief moves
+    "degenerate_mixed_classical": dict(
+        populations=(
+            AgentPopulation(151, StateVector([0.6, 0.0, 0.8j]), "quantum"),
+            AgentPopulation(150, StateVector([0.5, 0.5, np.sqrt(0.5)]), "classical"),
+            AgentPopulation(99, StateVector([0.0, 0.6, 0.8]), "quantum"),
+        ),
         price_observable=DEGENERATE,
         news=NewsSchedule((NewsEvent(COUPLING_3, 0.6), NewsEvent(COUPLING_3, 0.3, DEGENERATE_TILTED))),
     ),
@@ -662,6 +692,25 @@ def test_market_memory_grows_by_at_most_3_bytes_an_agent():
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / (80 * base.total_agents) <= 3
+
+
+def test_luders_market_memory_grows_by_at_most_5_bytes_an_agent():
+    """A market whose price observable has a rank-2 outcome keeps a row per
+    (group, outcome), found from each agent's (group, outcome) index: held in
+    the narrowest unsigned type, with no 8-byte array per agent, the traced
+    peak of run_market grows by at most 5 bytes per added agent from 110k to
+    550k agents."""
+    base = ORACLE_SCENARIOS["degenerate_rank_2"]
+    peaks = []
+    for count in (110_000, 550_000):
+        sc = scenario(periods=6, **dict(base, populations=(dataclasses.replace(base["populations"][0], count=count),)))
+        tracemalloc.start()
+        try:
+            run_market(sc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 440_000 <= 5
 
 
 def test_identical_scenarios_reproduce_bitwise():
