@@ -14,6 +14,7 @@ import json
 import re
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,20 +37,6 @@ from .measurement import (
     uncertainty_product,
 )
 
-USAGE = """\
-usage: qexpect <command> <config.json> [options]
-
-commands:
-  born             outcome distribution of measuring a state
-  evolve           outcome distribution over a time grid under a Hamiltonian
-  interference     direct vs classical total probability and their gap
-  order-effect     sequential joint tables in both orders and their gap
-  uncertainty      uncertainty product and its commutator lower bound
-  ensemble         empirical vs analytic outcome frequencies
-  simulate-market  run the ensemble market scenario, emit the price CSV
-"""
-
-
 def _unsigned_zeros(text: str) -> str:
     """Drop the sign of every 12-decimal field that rounds to zero."""
     return text.replace("-0.000000000000", "0.000000000000")
@@ -69,7 +56,7 @@ def _parser(command: str) -> argparse.ArgumentParser:
     # -\d+ or -\d*\.\d+, leaves out the exponent form of "--t -1e-3".
     parser._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$", re.IGNORECASE)
     parser.add_argument("config", help="path to a JSON config document")
-    for name, options in _COMMANDS[command][1].items():
+    for name, options in _COMMANDS[command][2].items():
         parser.add_argument(f"--{name}", **options)
     return parser
 
@@ -172,6 +159,8 @@ def _cmd_simulate_market(opts, out) -> int:
     the whole one would, and it writes no report. The report reproduces its
     run: replaying ``config`` with ``seed`` regenerates ``results`` bit-exactly;
     the duration is informational."""
+    if opts.csv and opts.report and Path(opts.csv).resolve() == Path(opts.report).resolve():
+        raise ConfigValidationError(f"--report: same file as --csv: {opts.report}")
     scenario = scenario_from_document(load_document(opts.config))
     if opts.seed is not None:
         scenario = dataclasses.replace(scenario, seed=opts.seed)
@@ -209,26 +198,30 @@ def _write_file(flag: str, path: str, text: str) -> None:
         raise ConfigValidationError(f"--{flag}: cannot write {path}: {exc.strerror or exc}") from exc
 
 
-# command -> (handler, its options beyond the config path)
+# command -> (handler, its one-line summary, its options beyond the config path)
 _COMMANDS = {
-    "born": (_cmd_born, {}),
-    "evolve": (_cmd_evolve, {
+    "born": (_cmd_born, "outcome distribution of measuring a state", {}),
+    "evolve": (_cmd_evolve, "outcome distribution over a time grid under a Hamiltonian", {
         "t": {"type": float, "required": True, "help": "end of the time grid"},
         "grid": {"type": int, "default": 101, "help": "number of grid samples"},
     }),
-    "interference": (_cmd_interference, {}),
-    "order-effect": (_cmd_order_effect, {}),
-    "uncertainty": (_cmd_uncertainty, {}),
-    "ensemble": (_cmd_ensemble, {
+    "interference": (_cmd_interference, "direct vs classical total probability and their gap", {}),
+    "order-effect": (_cmd_order_effect, "sequential joint tables in both orders and their gap", {}),
+    "uncertainty": (_cmd_uncertainty, "uncertainty product and its commutator lower bound", {}),
+    "ensemble": (_cmd_ensemble, "empirical vs analytic outcome frequencies", {
         "n": {"type": int, "default": 10000, "help": "number of agents"},
         "seed": {"type": int, "default": 0, "help": "ensemble seed"},
     }),
-    "simulate-market": (_cmd_simulate_market, {
+    "simulate-market": (_cmd_simulate_market, "run the ensemble market scenario, emit the price CSV", {
         "seed": {"type": int, "default": None, "help": "override the scenario seed"},
         "csv": {"type": str, "default": None, "help": "write the price CSV here instead of stdout"},
         "report": {"type": str, "default": None, "help": "write a JSON run report to this path"},
     }),
 }
+
+USAGE = "usage: qexpect <command> <config.json> [options]\n\ncommands:\n" + "".join(
+    f"  {name:<17}{summary}\n" for name, (_, summary, _) in _COMMANDS.items()
+)
 
 
 def main(argv: list[str] | None = None, out=None) -> int:

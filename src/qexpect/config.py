@@ -109,10 +109,10 @@ class Fields:
         return value
 
     def reals(self, key: str, default: list | None = None) -> list[float]:
-        values = self._get(key, default)
+        values, name = self._get(key, default), self.name(key)
         if not isinstance(values, list):
-            raise ConfigValidationError(f"{self.name(key)}: expected a list, got {values!r}")
-        return [_real(v, f"{self.name(key)}[{i}]") for i, v in enumerate(values)]
+            raise ConfigValidationError(f"{name}: expected a list, got {values!r}")
+        return [_real(v, name, (i,)) for i, v in enumerate(values)]
 
     def objects(self, key: str, required: bool = False) -> list[Fields]:
         """One view per entry of the list at ``key``. A missing list has no
@@ -125,32 +125,34 @@ class Fields:
         return [Fields(entry, f"{self.name(key)}[{i}]", self.doc) for i, entry in enumerate(entries)]
 
 
-def _complex_scalar(value, where: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigValidationError(f"{where}: complex numbers are written as [re, im], got {value!r}")
-    return complex(_real(value[0], f"{where}[0]"), _real(value[1], f"{where}[1]"))
+def _named(where: str, index: tuple) -> str:
+    return where + "".join(f"[{i}]" for i in index)
 
 
-def _complex_vector(value, where: str) -> np.ndarray:
+def _complex_array(value, where: str, depth: int, index: tuple = ()) -> np.ndarray:
+    """The ``[re, im]`` pairs nested ``depth`` lists deep (1 a vector, 2 a
+    matrix) at ``where`` and list positions ``index``, which are formatted
+    into a field name only when an entry is rejected."""
     if not isinstance(value, list) or not value:
-        raise ConfigValidationError(f"{where}: expected a non-empty list of [re, im] pairs")
-    return np.asarray([_complex_scalar(v, f"{where}[{i}]") for i, v in enumerate(value)])
+        raise ConfigValidationError(f"{_named(where, index)}: expected a non-empty list of {'rows' if depth > 1 else '[re, im] pairs'}")
+    if depth > 1:
+        rows = [_complex_array(row, where, depth - 1, (*index, i)) for i, row in enumerate(value)]
+        if len({len(r) for r in rows}) != 1:
+            raise ConfigValidationError(f"{_named(where, index)}: rows have differing lengths")
+        return np.asarray(rows)
+    pairs = []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigValidationError(f"{_named(where, (*index, i))}: complex numbers are written as [re, im], got {pair!r}")
+        pairs.append(complex(_real(pair[0], where, (*index, i, 0)), _real(pair[1], where, (*index, i, 1))))
+    return np.asarray(pairs)
 
 
-def _complex_matrix(value, where: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        raise ConfigValidationError(f"{where}: expected a non-empty list of rows")
-    rows = [_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(value)]
-    if len({len(r) for r in rows}) != 1:
-        raise ConfigValidationError(f"{where}: rows have differing lengths")
-    return np.asarray(rows)
-
-
-def _real(value, where: str) -> float:
+def _real(value, where: str, index: tuple = ()) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigValidationError(f"{where}: expected a number, got {value!r}")
+        raise ConfigValidationError(f"{_named(where, index)}: expected a number, got {value!r}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-Inf, or an int beyond float range
-        raise ConfigValidationError(f"{where}: expected a finite number, got {value!r}")
+        raise ConfigValidationError(f"{_named(where, index)}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -165,10 +167,10 @@ def _angle(entry: Fields, key: str, default: float | None = None) -> float:
 def _build_observable(entry: Fields) -> Observable:
     with entry.naming():
         if "vectors" in entry.raw:
-            vectors = entry.raw["vectors"]
+            vectors, where = entry.raw["vectors"], entry.name("vectors")
             if not isinstance(vectors, list):
-                raise ConfigValidationError(f"{entry.name('vectors')}: expected a list")
-            basis = [_complex_vector(v, f"{entry.name('vectors')}[{i}]") for i, v in enumerate(vectors)]
+                raise ConfigValidationError(f"{where}: expected a list")
+            basis = [_complex_array(v, where, 1, (i,)) for i, v in enumerate(vectors)]
             return make_observable(basis, entry.reals("eigenvalues"))
         theta = _angle(entry, "angle")
         phi = _angle(entry, "phase", default=0.0)
@@ -194,7 +196,7 @@ _PRESETS = {
 def _build_hamiltonian(entry: Fields) -> Hamiltonian:
     if "matrix" in entry.raw:
         with entry.naming("matrix"):
-            return Hamiltonian(_complex_matrix(entry.raw["matrix"], entry.name("matrix")))
+            return Hamiltonian(_complex_array(entry.raw["matrix"], entry.name("matrix"), 2))
     preset = entry.raw.get("preset")
     if not isinstance(preset, str) or preset not in _PRESETS:
         raise ConfigValidationError(
@@ -234,7 +236,7 @@ def document_from_dict(raw: dict) -> ConfigDocument:
     states = Fields(raw.get("states", {}), "states", doc)
     for name, value in states.raw.items():
         with states.naming(name):
-            doc.states[name] = StateVector(_complex_vector(value, states.name(name)))
+            doc.states[name] = StateVector(_complex_array(value, states.name(name), 1))
     observables = Fields(raw.get("observables", {}), "observables", doc)
     for name, value in observables.raw.items():
         doc.observables[name] = _build_observable(Fields(value, observables.name(name), doc))
@@ -296,17 +298,14 @@ def load_scenario(path) -> Scenario:
 # Serialization (round-trip and run-report echoes)
 
 
-def _pairs(vector: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vector]
-
-
-def _matrix_pairs(matrix: np.ndarray) -> list:
-    return [_pairs(row) for row in matrix]
+def _pairs(array: np.ndarray) -> list:
+    """``array`` with each complex entry written as an ``[re, im]`` pair."""
+    return np.stack((array.real, array.imag), -1).tolist()
 
 
 def _observable_entry(obs: Observable) -> dict:
     return {
-        "vectors": [_pairs(column) for column in obs.basis.T],
+        "vectors": _pairs(obs.basis.T),
         "eigenvalues": [float(v) for v in obs.eigenvalues],
     }
 
@@ -327,7 +326,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     news = []
     for i, event in enumerate(scenario.news.events):
         hname = f"news_{i}"
-        hamiltonians[hname] = {"matrix": _matrix_pairs(event.hamiltonian.matrix)}
+        hamiltonians[hname] = {"matrix": _pairs(event.hamiltonian.matrix)}
         entry: dict = {"hamiltonian": hname, "duration": float(event.duration)}
         if event.observable is not None:
             oname = f"basis_{i}"

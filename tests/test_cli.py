@@ -131,6 +131,34 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
 
 
+_USAGE_TEXT = """\
+usage: qexpect <command> <config.json> [options]
+
+commands:
+  born             outcome distribution of measuring a state
+  evolve           outcome distribution over a time grid under a Hamiltonian
+  interference     direct vs classical total probability and their gap
+  order-effect     sequential joint tables in both orders and their gap
+  uncertainty      uncertainty product and its commutator lower bound
+  ensemble         empirical vs analytic outcome frequencies
+  simulate-market  run the ensemble market scenario, emit the price CSV
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, stdout, stderr",
+    [
+        ([], 64, "", _USAGE_TEXT),
+        (["help"], 0, _USAGE_TEXT, ""),
+        (["frobnicate"], 64, "", "error: unknown command 'frobnicate'\n" + _USAGE_TEXT),
+    ],
+    ids=["no_arguments", "help", "unknown_command"],
+)
+def test_usage_text_is_pinned(argv, exit_code, stdout, stderr, capsys):
+    assert run_cli(*argv) == (exit_code, stdout)
+    assert capsys.readouterr().err == stderr
+
+
 # ---------------------------------------------------------------------------
 # evolve
 
@@ -301,6 +329,31 @@ _REFERENCE_CASES = {
         ("missing", _MISSING, f"{field}: expected a {table} name, got None"),
     )
 }
+# One [re, im] part replaced by a value that is not a finite number, in a
+# state, in an observable's eigenvector and in a Hamiltonian matrix.
+_PAIR_CASES = {
+    f"{place}_{tag}": (
+        "basic.json", path, build(part), argv, f"{element}: expected a {reason}",
+    )
+    for place, path, build, argv, element in (
+        ("state", ("states", "lean_up"), lambda part: [[part, 0.0], [1.0, 0.0]], ["born"], "states.lean_up[0][0]"),
+        (
+            "vector", ("observables", "price"), lambda part: {"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, part]]], "eigenvalues": [1, -1]},
+            ["born"], "observables.price.vectors[1][1][1]",
+        ),
+        (
+            "matrix", ("hamiltonians", "coupling"), lambda part: {"matrix": [[[0, 0], [1, 0]], [[1, part], [0, 0]]]},
+            ["evolve", "--t", "1"], "hamiltonians.coupling.matrix[1][0][1]",
+        ),
+    )
+    for tag, part, reason in (
+        ("true", True, "number, got True"),
+        ("string", "1", "number, got '1'"),
+        ("null", None, "number, got None"),
+        ("list", [1], "number, got [1]"),
+        ("infinity", float("inf"), "finite number, got inf"),
+    )
+}
 _MALFORMED_VALUES = {
     "nan_amplitude": ("basic.json", ("states", "lean_up", 0, 0), float("nan"), ["born"], "states.lean_up[0][0]: expected a finite number, got nan"),
     "scalar_eigenvalues": ("basic.json", ("observables", "price", "eigenvalues"), 5, ["born"], "observables.price.eigenvalues: expected a list, got 5"),
@@ -359,6 +412,31 @@ _MALFORMED_VALUES = {
         "basic.json", ("hamiltonians", "coupling"), {"matrix": [[[0, 0], [1, 0]], [[1, 0]]]}, ["evolve", "--t", "1"],
         "hamiltonians.coupling.matrix: rows have differing lengths",
     ),
+    **_PAIR_CASES,
+    "short_pair": ("basic.json", ("states", "lean_up"), [[1.0], [0.0, 0.0]], ["born"], "states.lean_up[0]: complex numbers are written as [re, im], got [1.0]"),
+    "long_pair": (
+        "basic.json", ("observables", "price"), {"vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]], "eigenvalues": [1, -1]}, ["born"],
+        "observables.price.vectors[1][1]: complex numbers are written as [re, im], got [1, 0, 0]",
+    ),
+    "short_matrix_pair": (
+        "basic.json", ("hamiltonians", "coupling"), {"matrix": [[[0, 0], [1]], [[1, 0], [0, 0]]]}, ["evolve", "--t", "1"],
+        "hamiltonians.coupling.matrix[0][1]: complex numbers are written as [re, im], got [1]",
+    ),
+    "scalar_amplitude": ("basic.json", ("states", "lean_up"), [1.0, 0.0], ["born"], "states.lean_up[0]: complex numbers are written as [re, im], got 1.0"),
+    "empty_state": ("basic.json", ("states", "lean_up"), [], ["born"], "states.lean_up: expected a non-empty list of [re, im] pairs"),
+    "string_state": ("basic.json", ("states", "lean_up"), "up", ["born"], "states.lean_up: expected a non-empty list of [re, im] pairs"),
+    "scalar_vector": (
+        "basic.json", ("observables", "price"), {"vectors": [5, [[0, 0], [1, 0]]], "eigenvalues": [1, -1]}, ["born"],
+        "observables.price.vectors[0]: expected a non-empty list of [re, im] pairs",
+    ),
+    "scalar_matrix_row": (
+        "basic.json", ("hamiltonians", "coupling"), {"matrix": [[[0, 0], [1, 0]], 7]}, ["evolve", "--t", "1"],
+        "hamiltonians.coupling.matrix[1]: expected a non-empty list of [re, im] pairs",
+    ),
+    "bool_eigenvalue": (
+        "basic.json", ("observables", "price"), {"angle": 0.0, "eigenvalues": [1.0, True]}, ["born"],
+        "observables.price.eigenvalues[1]: expected a number, got True",
+    ),
 }
 
 
@@ -390,6 +468,10 @@ _BAD_FLAG_VALUES = {
     "report_in_a_missing_directory": (
         ["simulate-market", "--report", "{tmp}/absent/r.json"], "--report: cannot write {tmp}/absent/r.json: No such file or directory",
     ),
+    "report_is_the_csv": (["simulate-market", "--csv", "{tmp}/out", "--report", "{tmp}/out"], "--report: same file as --csv: {tmp}/out"),
+    "report_is_the_csv_spelled_otherwise": (
+        ["simulate-market", "--csv", "{tmp}/out", "--report", "{tmp}/./out"], "--report: same file as --csv: {tmp}/./out",
+    ),
 }
 
 
@@ -401,6 +483,16 @@ def test_bad_flag_values_exit_1_naming_the_flag(argv, message, tmp_path, capsys)
     assert code == 1
     assert output == ""
     assert capsys.readouterr().err == f"validation error: {message.format(tmp=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("csv, report", [("out", "out"), ("out", "./out"), ("./out", "sub/../out")], ids=["same", "dot", "parent"])
+def test_csv_and_report_naming_one_file_write_neither(csv, report, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, output = run_cli("simulate-market", str(CONFIGS / "market.json"), "--csv", csv, "--report", report)
+    assert (code, output) == (1, "")
+    assert capsys.readouterr().err == f"validation error: --report: same file as --csv: {report}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "csv_file"])

@@ -314,6 +314,55 @@ def test_roundtrip_through_json_text(tmp_path):
     assert scenarios_equivalent(sc, load_scenario(path))
 
 
+def _d3_scenario() -> Scenario:
+    """A d = 3 scenario with a matrix Hamiltonian, a news override and a -0.0 amplitude part."""
+    c, s = math.cos(0.6), math.sin(0.6)
+    return Scenario(
+        seed=5,
+        populations=(AgentPopulation(30, StateVector([complex(0.6, -0.0), 0.8j, 0.0]), "quantum"),),
+        news=NewsSchedule((
+            NewsEvent(
+                Hamiltonian([[1.0, 0.5 - 0.25j, 0.0], [0.5 + 0.25j, -0.3, 0.1j], [0.0, -0.1j, 0.2]]), 0.7,
+                make_observable([[1, 0, 0], [0, c, s * 1j], [0, s * 1j, c]], [1.0, 1.0, -1.0]),
+            ),
+            NewsEvent(Hamiltonian(np.diag([0.0, 1.0, 2.0])), 1.0),
+        )),
+        price_observable=make_observable(np.eye(3), [1.0, 1.0, -1.0]),
+        impact=0.1,
+        initial_price=80.0,
+        periods=3,
+    )
+
+
+def _exact_pairs(array: np.ndarray) -> list:
+    if array.ndim > 1:
+        return [_exact_pairs(row) for row in array]
+    return [[float(z.real), float(z.imag)] for z in array]
+
+
+@pytest.mark.parametrize("make", [lambda: load_scenario(CONFIG_DIR / "market.json"), _d3_scenario], ids=["market", "d3"])
+def test_written_pairs_are_the_stored_floats(make):
+    sc = make()
+    doc = scenario_to_dict(sc)
+    written = [doc["states"][f"state_{i}"] for i in range(len(sc.populations))]
+    stored = [pop.initial_state.amplitudes for pop in sc.populations]
+    written.append(doc["observables"]["price"]["vectors"])
+    stored.append(sc.price_observable.basis.T)
+    for i, event in enumerate(sc.news.events):
+        written.append(doc["hamiltonians"][f"news_{i}"]["matrix"])
+        stored.append(event.hamiltonian.matrix)
+        if event.observable is not None:
+            written.append(doc["observables"][f"basis_{i}"]["vectors"])
+            stored.append(event.observable.basis.T)
+    # json text tells -0.0 from 0.0, which == does not
+    assert [json.dumps(w) for w in written] == [json.dumps(_exact_pairs(a)) for a in stored]
+    assert json.dumps(scenario_to_dict(scenario_from_document(document_from_dict(doc)))) == json.dumps(doc)
+
+
+def test_the_d3_scenario_keeps_a_negative_zero_part():
+    assert json.dumps(scenario_to_dict(_d3_scenario())["states"]["state_0"][0]) == "[0.6, -0.0]"
+
+
 def test_populations_are_required():
     raw = minimal_raw()
     raw["scenario"].pop("populations")
