@@ -74,6 +74,8 @@ def _cmd_born(opts, out) -> int:
 def _cmd_evolve(opts, out) -> int:
     if opts.grid < 2:
         raise ConfigValidationError("--grid: need at least 2 samples")
+    if opts.grid >= 2**60 - 64:  # linspace's float count rounds to 2**60 here: 2**63 bytes, past numpy's arrays
+        raise MemoryError(f"--grid: cannot hold {opts.grid} samples: numpy arrays stop below 2**63 bytes")
     if not np.isfinite(opts.t):
         raise ConfigValidationError(f"--t: expected a finite number, got {opts.t}")
     section = load_document(opts.config).section("evolve")

@@ -2,6 +2,11 @@
 per-period news, sample a price-expectation observable, and their aggregate
 up/down fractions drive a multiplicative price path.
 
+Each period every cohort of agents takes one step: the period's law (a row of
+outcome weights per group of agents), one draw per agent from its row, then
+settle (each agent moves to its new row). A classical population is a one-row
+cohort, and :func:`run_sequential_ensemble` measures through the same step.
+
 Determinism contract: every random draw is a pure function of
 ``(scenario seed, agent index, period)``. In period ``t`` agent ``i`` keeps
 word ``i`` of the Philox stream keyed by ``(seed, t)`` (word ``i mod 4`` of
@@ -202,6 +207,13 @@ def _inverse_cdf(thresholds: np.ndarray, draws: np.ndarray, membership: np.ndarr
     return out
 
 
+def _agents(count: int) -> int:
+    """``count``; past the longest array numpy can shape, the MemoryError of a request too large."""
+    if count >= 2**63:
+        raise MemoryError(f"cannot hold {count} agents: numpy arrays stop below 2**63 bytes")
+    return count
+
+
 def _draw_outcomes(bits: Philox, cumulative: np.ndarray, count: int, membership: np.ndarray | None = None) -> np.ndarray:
     """Outcome index of each of the next ``count`` agents on ``bits``, in the
     narrowest unsigned type that holds them (one byte for up to 256 outcomes):
@@ -244,7 +256,7 @@ def run_ensemble(population: AgentPopulation, obs: Observable, seed: int) -> Out
         )
     check_dims(state=population.initial_state, observable=obs)
     weights = born_weights(population.initial_state.amplitudes, obs)
-    idx = _draw_outcomes(Philox(key=_period_key(check_integer("seed", seed, 0, 2**64 - 1), 0)), np.cumsum(weights), population.count)
+    idx = _draw_outcomes(Philox(key=_period_key(check_integer("seed", seed, 0, 2**64 - 1), 0)), np.cumsum(weights), _agents(population.count))
     counts = np.bincount(idx, minlength=len(weights))
     return OutcomeDistribution(tuple(zip(obs.outcomes, counts / population.count)))
 
@@ -272,8 +284,8 @@ def run_sequential_ensemble(
     check_dims(state=population.initial_state, first=first, second=second)
     seed = check_integer("seed", seed, 0, 2**64 - 1)
     cohort = _QuantumCohort([population])
-    idx1 = cohort.measure(first, Philox(key=_period_key(seed, 0)))
-    idx2 = cohort.measure(second, Philox(key=_period_key(seed, 1)))
+    idx1 = cohort.step(_News(None, first), Philox(key=_period_key(seed, 0)))
+    idx2 = cohort.step(_News(None, second), Philox(key=_period_key(seed, 1)))
     k2 = len(second.outcomes)
     counts = np.bincount(idx1.astype(np.intp) * k2 + idx2, minlength=len(first.outcomes) * k2)  # row-major (alpha, beta)
     pairs = itertools.product(first.outcomes, second.outcomes)
@@ -302,32 +314,43 @@ class _News:
             self.likelihoods = np.add.reduceat(stay, layout.starts) / layout.ranks
 
 
-class _QuantumCohort:
+class _Cohort:
+    """``count`` agents in order, each on a row of the cohort's per-period law:
+    agent ``i`` on row ``membership[i]``, or all on the one row if it is None."""
+
+    membership: np.ndarray | None = None
+
+    def step(self, news: _News, bits: Philox) -> np.ndarray:
+        """One period: the law :meth:`weights` gives, one outcome per agent drawn
+        from its row (agents in order on ``bits``), then :meth:`settle`; returns
+        each agent's outcome index."""
+        weights = self.weights(news)
+        idx = _draw_outcomes(bits, np.cumsum(weights, axis=-1), self.count, self.membership)
+        self.settle(weights, idx, news.obs.layout)
+        return idx
+
+
+class _QuantumCohort(_Cohort):
     """A run of adjacent quantum populations as rows of belief states, agents in
     order: agent ``i`` holds ``states[membership[i]]``, at first its population's.
     ``membership`` is in the narrowest unsigned type for the row count, one byte
     an agent for up to 256 rows."""
 
+    step = _Cohort.step  # also in this class's own dict, where perfbench/layertrace.py wraps it
+
     def __init__(self, populations: list[AgentPopulation]):
+        self.count = _agents(sum(pop.count for pop in populations))
         self.states = np.array([pop.initial_state.amplitudes for pop in populations])
         rows = np.arange(len(populations), dtype=np.min_scalar_type(len(populations) - 1))
         self.membership = np.repeat(rows, [pop.count for pop in populations])
 
-    def step(self, news: _News, bits: Philox) -> np.ndarray:
-        """Evolve every agent under the news, then :meth:`measure` it."""
+    def weights(self, news: _News) -> np.ndarray:
+        """Evolve every row under the news; their Born weights, one row a group."""
         if news.unitary is not None:
             self.states = self.states @ news.unitary.T
-        return self.measure(news.obs, bits)
+        return born_weights(self.states, news.obs)
 
-    def measure(self, obs: Observable, bits: Philox) -> np.ndarray:
-        """Sample and collapse every agent, drawing the cohort's agents in
-        order from ``bits``; returns each agent's outcome index."""
-        weights = born_weights(self.states, obs)
-        idx = _draw_outcomes(bits, np.cumsum(weights, axis=1), len(self.membership), self.membership)
-        self._collapse(weights, idx, obs.layout)
-        return idx
-
-    def _collapse(self, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
+    def settle(self, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
         """Project every agent onto its outcome's eigenspace. All agents of a
         rank-1 outcome share its eigenvector's row (a global phase changes no
         later Born weight); a rank > 1 outcome keeps a row per (group, outcome)."""
@@ -362,30 +385,33 @@ class _QuantumCohort:
         self.membership = new_row.ravel().astype(np.min_scalar_type(count - 1))[branch]
 
 
-class _ClassicalCohort:
-    """Tracks one classical population; all agents share one belief over the
-    price observable's outcomes (which every period of its Scenario measures),
-    updated deterministically from the period's news."""
+class _ClassicalCohort(_Cohort):
+    """One classical population as a one-row cohort: all agents share one belief
+    over the price observable's outcomes (which every period of its Scenario
+    measures), updated deterministically from the period's news."""
 
     def __init__(self, population: AgentPopulation, price_obs: Observable):
-        self.count = population.count
+        self.count = _agents(population.count)
         self.belief = born_weights(population.initial_state.amplitudes, price_obs)
 
-    def step(self, news: _News, bits: Philox) -> np.ndarray:
-        """Bayes-update on the news likelihoods, if any, then sample from
-        ``bits``; returns each agent's outcome index."""
+    def weights(self, news: _News) -> np.ndarray:
+        """The belief, Bayes-updated on the news likelihoods if there are any."""
         if news.likelihoods is not None:
             self.belief = bayes_update(self.belief, news.likelihoods)
-        return _draw_outcomes(bits, np.cumsum(self.belief), self.count)
+        return self.belief
+
+    def settle(self, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
+        """The one row stays."""
 
 
 def run_market(scenario: Scenario) -> PricePath:
     """Run the full ensemble market loop.
 
-    Each period: quantum agents evolve under the period's news and sample the
-    price observable (collapsing onto their outcome); classical agents
-    Bayes-update on news-derived likelihoods and sample from their belief.
-    The up/down fractions over all agents move the price multiplicatively:
+    Each period every cohort takes one step: its law, then one draw per agent,
+    then settle. Quantum agents evolve under the period's news, sample the price
+    observable and collapse onto their outcome; a classical population is a
+    one-row cohort whose belief Bayes-updates on news-derived likelihoods. The
+    up/down fractions over all agents move the price multiplicatively:
     ``price *= 1 + impact * (f_up - f_down)``.
 
     One cohort holds each run of adjacent quantum populations, and one Philox

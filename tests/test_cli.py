@@ -637,20 +637,42 @@ def test_seed_outside_64_bits_is_a_named_error(command, config, seed, capsys):
     assert err == f"validation error: seed must be an integer in [0, {2**64 - 1}], got {seed}\n"
 
 
+def _grid(n: int) -> list[str]:
+    return ["evolve", str(CONFIGS / "basic.json"), "--t", "1", "--grid", str(n)]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["ensemble", str(CONFIGS / "basic.json"), "--n", str(10**15)],
-        ["evolve", str(CONFIGS / "basic.json"), "--t", "1", "--grid", str(10**15)],
+        _grid(10**15),
+        # numpy shapes no array of 2**63 bytes or more, and names such a shape
+        # by other errors than MemoryError; a market is given as its (kind, count)
+        # populations of configs/market.json's "balanced" state
+        pytest.param(["ensemble", str(CONFIGS / "basic.json"), "--n", str(2**63)], id="ensemble_n_2**63"),
+        pytest.param(_grid(2**63), id="grid_2**63"),
+        pytest.param(_grid(2**64 - 1), id="grid_2**64-1"),
+        pytest.param(_grid(2**70), id="grid_2**70"),
+        pytest.param(_grid(2**63 - 1), id="grid_2**63-1"),
+        pytest.param(_grid(2**60 - 64), id="grid_2**60-64"),  # linspace's float count is 2**60
+        pytest.param(["simulate-market", [("quantum", 2**63)]], id="quantum_2**63"),
+        pytest.param(["simulate-market", [("quantum", 2**64 - 1)]], id="quantum_2**64-1"),
+        pytest.param(["simulate-market", [("quantum", 2**62), ("quantum", 2**62)]], id="adjacent_quantum_2**62_twice"),
+        pytest.param(["simulate-market", [("classical", 2**63)]], id="classical_2**63"),
     ],
 )
-def test_a_request_too_large_to_allocate_is_a_named_error(argv, capsys):
-    # 10**15 elements fail at allocation, before any memory is touched
+def test_a_request_too_large_to_allocate_is_a_named_error(argv, tmp_path, capsys):
+    if isinstance(argv[1], list):
+        raw = json.loads((CONFIGS / "market.json").read_text(encoding="utf-8"))
+        raw["scenario"]["populations"] = [{"kind": kind, "count": n, "state": "balanced"} for kind, n in argv[1]]
+        argv = [argv[0], str(tmp_path / "market.json")]
+        Path(argv[1]).write_text(json.dumps(raw), encoding="utf-8")
     out = io.StringIO()
     assert main(argv, out=out) == 1
     assert out.getvalue() == ""
     err = capsys.readouterr().err
-    assert err.startswith("validation error: request too large: Unable to allocate ")
+    # 10**15 elements fail at allocation, before any memory is touched
+    assert err.startswith("validation error: request too large: " + ("Unable to allocate " if str(10**15) in argv else ""))
     assert err.count("\n") == 1
 
 

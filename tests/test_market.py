@@ -282,6 +282,12 @@ def test_sequential_ensemble_names_a_dimension_mismatch():
             run_sequential_ensemble(pop, obs_i, obs_j, "ij", 0)
 
 
+@pytest.mark.parametrize("sampler", [lambda pop: run_ensemble(pop, PRICE, 0), lambda pop: run_sequential_ensemble(pop, PRICE, PRICE)])
+def test_ensembles_of_2_63_agents_are_too_large_to_allocate(sampler):
+    with pytest.raises(MemoryError, match=f"^cannot hold {2**63} agents: numpy arrays stop below 2\\*\\*63 bytes$"):
+        sampler(AgentPopulation(2**63, PLUS, "quantum"))
+
+
 # ---------------------------------------------------------------------------
 # run_market
 
@@ -447,6 +453,31 @@ def test_market_matches_per_agent_reference(name):
     sc = scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
     path = run_market(sc)
     assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
+def test_period_1_law_table_gives_the_mean_field_up_fraction(name, monkeypatch):
+    """Each cohort's law, weighted by the agents on each row, sums to the
+    independent mean field's expected up count in period 1."""
+    sc = scenario(impact=0.05, periods=1, **ORACLE_SCENARIOS[name])
+    laws = []  # (cohort, its membership before the draw, its law, up outcomes)
+    for cls in (market._QuantumCohort, market._ClassicalCohort):
+        def recording_weights(self, news, weights=cls.weights):
+            law = weights(self, news)
+            laws.append((self, self.membership, law, news.ups))
+            return law
+
+        monkeypatch.setattr(cls, "weights", recording_weights)
+    run_market(sc)
+    expected_up = 0.0
+    for cohort, membership, law, ups in laws:
+        if membership is None:  # one row for every agent
+            expected_up += cohort.count * law[:ups].sum()
+        else:
+            expected_up += np.bincount(membership, minlength=len(law)) @ law[:, :ups].sum(1)
+    n = sc.total_agents
+    assert sum(cohort.count for cohort, *_ in laws) == n  # every agent is on some law once
+    assert abs(expected_up / n - mean_field_moments(sc)[0][0] / n) <= 1e-12
 
 
 def test_each_period_starts_a_fresh_stream(monkeypatch):
