@@ -88,7 +88,8 @@ def _hermitian(matrix, kind: str) -> np.ndarray:
         raise ValueError(f"{kind} must have at least one entry")
     if not np.isfinite(mat).all():
         raise ValueError(f"{kind} entries must be finite")
-    dev = np.abs(mat - mat.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a deviation of inf or NaN fails the check below
+        dev = np.abs(mat - mat.conj().T)
     if not dev.max() <= INPUT_TOL:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise ValueError(f"{kind} is not Hermitian: entry ({i},{j}) deviates by {dev[i, j]:.3e}")
@@ -150,7 +151,9 @@ class Projector:
 
     def __post_init__(self) -> None:
         mat = _hermitian(self.matrix, "projector")
-        if not np.abs(mat @ mat - mat).max() <= INPUT_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a gap of inf or NaN fails the check below
+            gap = np.abs(mat @ mat - mat).max()
+        if not gap <= INPUT_TOL:
             raise ValueError("projector is not idempotent")
         object.__setattr__(self, "matrix", mat)
 
@@ -326,8 +329,12 @@ def commutator_norm(a: Observable, b: Observable) -> float:
     Convention: the raw Frobenius norm is divided by sqrt(d) (the norm of the
     identity), so for the two-level up/down observable against its 45-degree
     rotation the value is 2.0. Zero within 1e-10 exactly when the operators
-    commute.
+    commute. Raises ValueError when the norm overflows, as it does for
+    eigenvalues from about 1e150 on.
     """
     check_dims(a=a, b=b)
-    comm = a.matrix @ b.matrix - b.matrix @ a.matrix
-    return float(np.linalg.norm(comm) / np.sqrt(a.dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
+        norm = float(np.linalg.norm(a.matrix @ b.matrix - b.matrix @ a.matrix) / np.sqrt(a.dim))
+    if not math.isfinite(norm):
+        raise ValueError("commutator norm overflows: observable eigenvalues are too large")
+    return norm

@@ -25,14 +25,7 @@ from numpy.random import Generator, Philox, SeedSequence
 from .classical import bayes_update
 from .hilbert import Hamiltonian, Observable, SpectralLayout, StateVector, propagator
 from .hilbert import check_dims, check_integer, check_probabilities, check_real
-from .measurement import (
-    ZERO_BRANCH_TOL,
-    ImpossibleOutcomeError,
-    JointTable,
-    OutcomeDistribution,
-    born_weights,
-    collapse,
-)
+from .measurement import JointTable, OutcomeDistribution, _lueders, born_weights, collapse
 
 
 class SimulationHalt(RuntimeError):
@@ -326,7 +319,7 @@ class _Cohort:
         each agent's outcome index."""
         weights = self.weights(news)
         idx = _draw_outcomes(bits, np.cumsum(weights, axis=-1), self.count, self.membership)
-        self.settle(weights, idx, news.obs.layout)
+        self.settle(idx, news.obs.layout)
         return idx
 
 
@@ -350,10 +343,10 @@ class _QuantumCohort(_Cohort):
             self.states = self.states @ news.unitary.T
         return born_weights(self.states, news.obs)
 
-    def settle(self, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
-        """Project every agent onto its outcome's eigenspace. All agents of a
-        rank-1 outcome share its eigenvector's row (a global phase changes no
-        later Born weight); a rank > 1 outcome keeps a row per (group, outcome)."""
+    def settle(self, idx: np.ndarray, layout: SpectralLayout) -> None:
+        """Collapse every agent by the Lüders rule of :func:`qexpect.measurement.collapse`.
+        All agents of a rank-1 outcome share its eigenvector's row (a global phase
+        changes no later Born weight); a rank > 1 outcome keeps a row per (group, outcome)."""
         if (layout.ranks == 1).all():
             self.states = layout.columns.T
             self.membership = idx
@@ -363,7 +356,6 @@ class _QuantumCohort(_Cohort):
         np.add(branch, idx, out=branch, casting="unsafe")  # group * n_outcomes + outcome fits, whatever idx's type
         drawn = np.zeros((len(self.states), n_outcomes), dtype=bool)
         drawn.reshape(-1)[branch] = True
-        amplitudes = self.states @ layout.columns.conj()
         new_row = np.empty(drawn.shape, dtype=np.intp)  # (group, outcome) -> row of the new states
         blocks, count = [], 0
         for k, (lo, rank) in enumerate(zip(layout.starts, layout.ranks)):
@@ -372,12 +364,8 @@ class _QuantumCohort(_Cohort):
                 new_row[:, k] = count
             else:
                 groups = np.flatnonzero(drawn[:, k])
-                if (weights[groups, k] < ZERO_BRANCH_TOL).any():
-                    raise ImpossibleOutcomeError(
-                        f"cannot collapse onto an outcome of probability {weights[groups, k].min():.3e}"
-                    )
-                projected = amplitudes[groups, lo : lo + rank] @ layout.columns[:, lo : lo + rank].T
-                block = projected / np.linalg.norm(projected, axis=1, keepdims=True)
+                projected, weight = _lueders(self.states[groups], layout.stack[k])
+                block = projected / np.sqrt(weight)
                 new_row[groups, k] = count + np.arange(len(groups))
             blocks.append(block)
             count += len(block)
@@ -400,7 +388,7 @@ class _ClassicalCohort(_Cohort):
             self.belief = bayes_update(self.belief, news.likelihoods)
         return self.belief
 
-    def settle(self, weights: np.ndarray, idx: np.ndarray, layout: SpectralLayout) -> None:
+    def settle(self, idx: np.ndarray, layout: SpectralLayout) -> None:
         """The one row stays."""
 
 

@@ -166,20 +166,25 @@ def evolved_born(
     return OutcomeDistribution(tuple(zip(obs.outcomes, weights)))
 
 
+def _lueders(rows: np.ndarray, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one Lüders rule: the branch ``P psi`` of every state in ``rows`` (last axis),
+    unnormalized, and its weight ``||P psi||^2``, for one state or a cohort's rows.
+    Raises ImpossibleOutcomeError when any weight is below ZERO_BRANCH_TOL."""
+    projected = (proj @ rows.T).T
+    weight = np.sum(projected.real**2 + projected.imag**2, axis=-1, keepdims=True)
+    if (weight < ZERO_BRANCH_TOL).any():
+        raise ImpossibleOutcomeError(f"cannot collapse onto an outcome of probability {weight.min():.3e}")
+    return projected, weight
+
+
 def collapse(psi: StateVector, proj: Projector) -> StateVector:
-    """Post-measurement state ``P psi / ||P psi||`` (project, renormalize).
+    """Post-measurement state ``P psi / ||P psi||`` by the Lüders rule every market cohort collapses by.
 
     Raises ImpossibleOutcomeError when the outcome has probability below
     1e-12; a state is never returned unnormalized.
     """
     check_dims(state=psi, projector=proj)
-    projected = proj.matrix @ psi.amplitudes
-    weight = float(np.real(np.vdot(projected, projected)))
-    if weight < ZERO_BRANCH_TOL:
-        raise ImpossibleOutcomeError(
-            f"cannot collapse onto an outcome of probability {weight:.3e}"
-        )
-    return StateVector(projected)
+    return StateVector(_lueders(psi.amplitudes, proj.matrix)[0])
 
 
 def transition_probability(from_eigvec: StateVector, to_eigvec: StateVector) -> float:

@@ -537,6 +537,20 @@ def test_uncertainty_overflow_exits_1(tmp_path, capsys):
     assert "nan" not in err and "RuntimeWarning" not in err
 
 
+def test_hamiltonian_whose_hermitian_check_overflows_exits_1(tmp_path, capsys):
+    # H - H^dagger overflows to inf at entry (0,1); the check names it without a RuntimeWarning
+    raw = json.loads((CONFIGS / "basic.json").read_text(encoding="utf-8"))
+    raw["hamiltonians"]["coupling"] = {"matrix": [[[1e308, 0], [-1e308, 0]], [[1e308, 0], [1e308, 0]]]}
+    bad = tmp_path / "basic.json"
+    bad.write_text(json.dumps(raw), encoding="utf-8")
+    code, output = run_cli("evolve", str(bad), "--t", "1")
+    assert code == 1
+    assert output == ""
+    assert capsys.readouterr().err == (
+        "validation error: hamiltonians.coupling.matrix: Hamiltonian is not Hermitian: entry (0,1) deviates by inf\n"
+    )
+
+
 def test_classical_population_with_an_override_of_other_outcomes_exits_1(tmp_path, capsys):
     raw = json.loads((CONFIGS / "market.json").read_text(encoding="utf-8"))
     raw["observables"]["flat"] = {"angle": 0, "eigenvalues": [1, 1]}

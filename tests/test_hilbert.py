@@ -478,6 +478,9 @@ _HERMITIAN_REJECTS = {
     "hamiltonian not a matrix": (Hamiltonian, np.zeros(2), "Hamiltonian must be a square matrix, got shape (2,)"),
     "nan projector": (Projector, [[np.nan, 0], [0, 0]], "projector entries must be finite"),
     "projector off idempotent by 1.01e-8": (Projector, np.diag([1 + 1.01e-8, 0.0]), "projector is not idempotent"),
+    # the check's own arithmetic overflows: a named error and no RuntimeWarning
+    "projector whose square overflows": (Projector, np.full((2, 2), 1e200), "projector is not idempotent"),
+    "hamiltonian whose deviation overflows": (Hamiltonian, [[1e308, -1e308], [1e308, 1e308]], "Hamiltonian is not Hermitian: entry (0,1) deviates by inf"),
 }
 
 
@@ -549,6 +552,16 @@ def test_commutator_brute_force_agreement(price):
             mat_b = sum(v * np.outer(c, c.conj()) for v, c in zip(v2, g2.T))
             raw = np.linalg.norm(mat_a @ mat_b - mat_b @ mat_a)
             assert commutator_norm(a, b) == pytest.approx(raw / np.sqrt(d), abs=1e-10)
+
+
+@pytest.mark.parametrize("e", [1e150, 1e160, 1e200, 1e300])
+def test_commutator_norm_that_overflows_is_a_named_error(e):
+    # AB - BA is 2e^2 off the diagonal: its norm is inf from e = 1e150, and NaN from 1e160
+    a = make_observable([[1, 0], [0, 1]], [e, -e])
+    b = make_observable([[1, 1], [1, -1]], [e, -e])
+    with pytest.raises(ValueError) as info:
+        commutator_norm(a, b)
+    assert str(info.value) == "commutator norm overflows: observable eigenvalues are too large"
 
 
 def test_commutator_dimension_mismatch(price):

@@ -455,6 +455,40 @@ def test_market_matches_per_agent_reference(name):
     assert [(r.price, r.up_fraction, r.down_fraction) for r in path.periods] == reference_market(sc)
 
 
+_SX, _SZ, _I2 = np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.eye(2)
+_A_I = make_observable(np.eye(4), [1.0, 1.0, -1.0, -1.0])  # A = sigma_z on the first asset
+_I_B = make_observable(np.kron(_I2, TILTED.basis).T, [1.0, -1.0, 1.0, -1.0])  # B = TILTED on the second
+TWO_ASSET = scenario(
+    populations=(AgentPopulation(20_000, StateVector(np.kron([1.0, 0.0], [np.cos(0.3), np.sin(0.3)]))),),
+    news=NewsSchedule(tuple(
+        NewsEvent(Hamiltonian(0.8 * np.kron(_SX, _I2) + 0.5 * np.kron(_I2, _SX) + 0.6 * np.kron(_SZ, _SX)), 0.7, obs)
+        for obs in (_A_I, _I_B)
+    )),
+    price_observable=_A_I,
+    impact=0.05,
+    periods=12,
+)
+
+# Per-period up counts of every market above that collapses onto a rank-2
+# outcome, and of a two-asset market whose rows grow each period. The per-agent
+# reference collapses by the market's own Lüders rule, so these recorded counts
+# pin that rule's bits independently of it.
+RANK_2_UP_COUNTS = {
+    "degenerate_rank_2": [201, 198, 209, 189, 220, 174, 224, 161],
+    "two_adjacent_degenerate_299": [187, 124, 191, 122, 199, 120, 202, 118],
+    "degenerate_200_small_populations": [318, 160, 329, 167, 334, 168, 327, 164],
+    "degenerate_300_small_populations": [492, 240, 479, 244, 487, 247, 483, 245],
+    "degenerate_mixed_classical": [207, 129, 203, 136, 194, 116, 179, 114],
+    "two_asset": [14711, 16935, 8668, 15711, 10452, 13964, 9922, 12934, 10042, 12221, 9939, 11611],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_2_UP_COUNTS))
+def test_rank_2_markets_keep_their_recorded_up_counts(name):
+    sc = TWO_ASSET if name == "two_asset" else scenario(impact=0.05, periods=8, **ORACLE_SCENARIOS[name])
+    assert [round(r.up_fraction * sc.total_agents) for r in run_market(sc).periods] == RANK_2_UP_COUNTS[name]
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_SCENARIOS))
 def test_period_1_law_table_gives_the_mean_field_up_fraction(name, monkeypatch):
     """Each cohort's law, weighted by the agents on each row, sums to the

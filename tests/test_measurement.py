@@ -198,8 +198,9 @@ def test_collapse_is_idempotent():
 
 
 def test_collapse_onto_orthogonal_outcome_fails():
-    with pytest.raises(ImpossibleOutcomeError):
+    with pytest.raises(ImpossibleOutcomeError) as info:
         collapse(PLUS, projector_for(PRICE, -1.0))
+    assert str(info.value) == "cannot collapse onto an outcome of probability 0.000e+00"
 
 
 def test_collapse_returns_normalized_state():
